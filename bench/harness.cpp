@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -42,18 +44,32 @@ namespace {
       "                   running independent (app, protocol) cells, each\n"
       "                   on its own Machine (default: all host cores;\n"
       "                   results are identical for any N)\n"
-      "  --shards N       shard-level parallelism: threads *inside* one\n"
-      "                   simulation (conservative parallel DES, DESIGN.md\n"
-      "                   Sec. 10). 0 = serial legacy engine. Stats are\n"
-      "                   bit-identical across shard counts >= 1\n"
       "  --capture DIR    record each cell's workload stream as a trace\n"
-      "                   under DIR/<app>_<protocol>/ (serial-only; see\n"
-      "                   DESIGN.md Sec. 11)\n"
+      "                   under DIR/<app>_<protocol>/ (DESIGN.md Sec. 11)\n"
       "  --replay DIR     replay traces from DIR/<app>_<protocol>/ with the\n"
-      "                   fiber-free front end; composes with --jobs and\n"
-      "                   --shards, stats bit-identical to the captured run\n",
+      "                   fiber-free front end; composes with --jobs, stats\n"
+      "                   bit-identical to the captured run\n",
       prog);
   std::exit(2);
+}
+
+/// Parses the decimal value of numeric flag `flag`. Empty text, a sign,
+/// non-digits, trailing garbage and values outside [lo, hi] are usage
+/// errors that name the flag.
+std::uint64_t parse_uint(const char* prog, const std::string& flag,
+                         const std::string& text, std::uint64_t lo,
+                         std::uint64_t hi) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || ptr != end || v < lo || v > hi) {
+    std::fprintf(stderr, "%s: invalid value '%s' (expected %llu..%llu)\n",
+                 flag.c_str(), text.c_str(),
+                 static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    usage(prog);
+  }
+  return v;
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -76,9 +92,12 @@ Options Options::parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    auto next_uint = [&](std::uint64_t lo, std::uint64_t hi) {
+      return parse_uint(argv[0], arg, next(), lo, hi);
+    };
+    constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
     if (arg == "--procs") {
-      opt.procs = static_cast<unsigned>(std::stoul(next()));
-      if (opt.procs == 0 || opt.procs > kMaxProcs) usage(argv[0]);
+      opt.procs = static_cast<unsigned>(next_uint(1, kMaxProcs));
     } else if (arg == "--scale") {
       const std::string s = next();
       if (s == "test") {
@@ -104,11 +123,13 @@ Options Options::parse(int argc, char** argv) {
         }
       }
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(next());
+      opt.seed = next_uint(0, std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--cache-kb") {
-      opt.cache_bytes = static_cast<std::uint32_t>(std::stoul(next())) * 1024;
+      // Bounded so the byte count fits cache_bytes' 32 bits.
+      opt.cache_bytes =
+          static_cast<std::uint32_t>(next_uint(1, kU32Max / 1024) * 1024);
     } else if (arg == "--line") {
-      opt.line_bytes = static_cast<std::uint32_t>(std::stoul(next()));
+      opt.line_bytes = static_cast<std::uint32_t>(next_uint(1, kU32Max));
     } else if (arg == "--hier") {
       opt.hier = next();
       if (opt.hier != "l1" && opt.hier != "l2" && opt.hier != "l2x" &&
@@ -120,10 +141,8 @@ Options Options::parse(int argc, char** argv) {
     } else if (arg == "--no-validate") {
       opt.validate = false;
     } else if (arg == "--jobs") {
-      opt.jobs = static_cast<unsigned>(std::stoul(next()));
-      if (opt.jobs == 0) usage(argv[0]);
-    } else if (arg == "--shards") {
-      opt.shards = static_cast<unsigned>(std::stoul(next()));
+      opt.jobs = static_cast<unsigned>(
+          next_uint(1, std::numeric_limits<unsigned>::max()));
     } else if (arg == "--capture") {
       opt.capture_dir = next();
     } else if (arg == "--replay") {
@@ -134,10 +153,6 @@ Options Options::parse(int argc, char** argv) {
   }
   if (!opt.capture_dir.empty() && !opt.replay_dir.empty()) {
     std::fprintf(stderr, "--capture and --replay are mutually exclusive\n");
-    usage(argv[0]);
-  }
-  if (!opt.capture_dir.empty() && opt.shards != 0) {
-    std::fprintf(stderr, "--capture is serial-only (drop --shards)\n");
     usage(argv[0]);
   }
   return opt;
@@ -171,7 +186,6 @@ core::SystemParams make_params(const Options& opt) {
     p.cache = cache::CacheConfig::paper_l2().add_llc(1024 * 1024, 8);
   }
   p.seed = opt.seed;
-  p.shards = opt.shards;
   return p;
 }
 

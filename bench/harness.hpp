@@ -29,13 +29,12 @@ struct Options {
   std::string hier;               // cache-hierarchy preset; empty/"l1" = L1 only
   bool validate = true;
   unsigned jobs = 0;              // worker threads; 0 = hardware_concurrency
-  unsigned shards = 0;            // intra-simulation shards; 0 = serial engine
   std::string capture_dir;        // record per-CPU traces under this dir
   std::string replay_dir;         // replay traces from this dir (fiber-free)
 
   /// Parses --procs/--scale/--quick/--apps/--seed/--cache-kb/--line/
-  /// --hier/--no-validate/--jobs/--shards/--capture/--replay; exits with
-  /// usage on error.
+  /// --hier/--no-validate/--jobs/--capture/--replay; exits with usage on
+  /// error.
   static Options parse(int argc, char** argv);
 };
 

@@ -64,14 +64,6 @@ namespace {
 
 using namespace lrc;
 
-// Whole-sim accesses/sec measured on the pre-change tree (commit ab1a2ff,
-// same workload, same host, same Release flags as the checked-in JSON).
-// The flattened hot path must hold a >= 2x advantage over this (ISSUE 3
-// acceptance). Re-record when regenerating BENCH_micro_memsys.json on a
-// new host: build bench/micro_memsys's run_sim against the old tree and
-// take the median of several interleaved runs.
-constexpr double kBaselineAccessesPerSec = 894553;
-
 // Process-CPU-time clock: the benchmark hosts are often oversubscribed, so
 // wall-clock throughput is dominated by scheduler noise. CPU seconds track
 // the work this process actually did; all throughput figures use them.
@@ -445,9 +437,6 @@ int main(int argc, char** argv) {
       sim_accesses = full.accesses - half.accesses;
     }
   }
-  const double sim_speedup = kBaselineAccessesPerSec > 0
-                                 ? accesses_per_sec / kBaselineAccessesPerSec
-                                 : 0.0;
 
   // ---- Hierarchy phase ----------------------------------------------------
   // Same workload behind the two-level private stack. Throughput is
@@ -512,7 +501,6 @@ int main(int argc, char** argv) {
       "{\n"
       "  \"bench\": \"micro_memsys\",\n"
       "  \"sim\": {\"accesses\": %llu, \"accesses_per_sec\": %.0f,\n"
-      "          \"baseline_accesses_per_sec\": %.0f, \"speedup\": %.2f,\n"
       "          \"allocs_per_access\": %.3f},\n"
       "  \"hier\": {\"accesses\": %llu, \"accesses_per_sec\": %.0f,\n"
       "           \"speedup\": %.2f, \"allocs_per_access\": %.3f,\n"
@@ -526,8 +514,7 @@ int main(int argc, char** argv) {
       "                 \"cpu_seconds\": %.3f, \"simulated_cycles\": %llu}\n"
       "}\n",
       static_cast<unsigned long long>(sim_accesses),
-      accesses_per_sec, kBaselineAccessesPerSec, sim_speedup,
-      allocs_per_access,
+      accesses_per_sec, allocs_per_access,
       static_cast<unsigned long long>(hier_accesses), hier_accesses_per_sec,
       hier_ratio, hier_allocs_per_access, hit_path.ops_per_sec,
       hit_path.allocs_per_op,

@@ -12,17 +12,6 @@ Absolute throughput numbers are host-dependent, so CI compares the
   * every "*allocs*" field that is (near-)zero in the checked-in file must
     stay (near-)zero — the zero-steady-state-allocation property is exact,
     not statistical.
-
-The "sim" section's speedup is measured against a baseline pinned on the
-recording host, so on other hosts it is informational; pass --strict-sim
-to enforce it too (used when regenerating the checked-in files).
-
-Speedup leaves whose enclosing section records "host_cores" <= 1 on either
-side compare multi-threaded shard configurations measured without host
-parallelism (pure synchronization overhead, see micro_pdes.cpp); those
-columns are informational, never enforced. Serial-vs-serial ratios (e.g.
-micro_trace's replay-vs-fiber speedup) carry host_cores only as
-provenance — their sections do not gate on it (HOST_GATED_SECTIONS).
 """
 
 import json
@@ -36,7 +25,6 @@ ZERO_ALLOCS = 0.001          # "zero" allowing for one-off warmup noise
 # regenerating the JSON with an older binary) must itself be a failure.
 REQUIRED_SECTIONS = {
     "micro_memsys": ("sim", "hier", "container"),
-    "micro_pdes": ("pdes",),
     "micro_trace": ("trace",),
 }
 
@@ -48,48 +36,22 @@ SPEEDUP_HARD_FLOORS = {
     "micro_trace.trace.speedup": 1.10,
 }
 
-# Sections whose speedups are real-parallelism measurements: enforced only
-# when both the checked-in and the fresh file were recorded with free host
-# cores. The trace section is deliberately absent — replay vs fiber are
-# both serial, so the ratio holds on any host.
-HOST_GATED_SECTIONS = ("pdes",)
 
-
-def host_limited(path, ref_cores, new_cores):
-    gated = any(f".{s}." in path or path.endswith(f".{s}")
-                for s in HOST_GATED_SECTIONS)
-    return gated and (ref_cores is not None and ref_cores <= 1
-                      or new_cores is not None and new_cores <= 1)
-
-
-def walk(ref, new, path, failures, strict_sim,
-         ref_cores=None, new_cores=None):
+def walk(ref, new, path, failures):
     if isinstance(ref, dict):
         if not isinstance(new, dict):
             failures.append(f"{path}: shape mismatch")
             return
-        # A section's host_cores applies to every leaf beneath it.
-        ref_cores = ref.get("host_cores", ref_cores)
-        new_cores = new.get("host_cores", new_cores)
         for key, ref_val in ref.items():
             if key not in new:
                 failures.append(f"{path}.{key}: missing from fresh output")
                 continue
-            walk(ref_val, new[key], f"{path}.{key}", failures, strict_sim,
-                 ref_cores, new_cores)
+            walk(ref_val, new[key], f"{path}.{key}", failures)
         return
     if not isinstance(ref, (int, float)) or isinstance(ref, bool):
         return
     leaf = path.rsplit(".", 1)[-1]
     if leaf == "speedup":
-        if ".sim." in path and not strict_sim:
-            print(f"  info {path}: {new:.2f} (checked-in {ref:.2f}, "
-                  "baseline is host-pinned; not enforced)")
-            return
-        if host_limited(path, ref_cores, new_cores):
-            print(f"  info {path}: {new:.2f} (checked-in {ref:.2f}, "
-                  "measured at host_cores <= 1; not enforced)")
-            return
         floor = max(ref * (1.0 - REGRESSION_TOLERANCE),
                     SPEEDUP_HARD_FLOORS.get(path, 0.0))
         status = "ok" if new >= floor else "FAIL"
@@ -105,8 +67,7 @@ def walk(ref, new, path, failures, strict_sim,
 
 
 def main(argv):
-    args = [a for a in argv[1:] if a != "--strict-sim"]
-    strict_sim = "--strict-sim" in argv[1:]
+    args = argv[1:]
     if len(args) < 2 or len(args) % 2 != 0:
         print(__doc__)
         return 2
@@ -128,7 +89,7 @@ def main(argv):
                     failures.append(
                         f"{name}.{section}: required section missing from "
                         f"{side} output")
-        walk(ref, new, name, failures, strict_sim)
+        walk(ref, new, name, failures)
     if failures:
         print("bench regression: FAIL")
         for f in failures:

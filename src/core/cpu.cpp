@@ -78,7 +78,7 @@ void Cpu::schedule_quantum_resume() {
   hits_since_yield_ = 0;
   resume_scheduled_ = true;
   resume_mode_ = ResumeMode::kQuantum;
-  m_.sched_resume(id_, now_, resume_event_);
+  m_.engine().schedule_external(now_, resume_event_);
 }
 
 void Cpu::quantum_yield() {
@@ -98,7 +98,7 @@ void Cpu::poke(Cycle t) {
   if (!blocked_ || resume_scheduled_) return;
   resume_scheduled_ = true;
   resume_mode_ = ResumeMode::kPoke;
-  m_.sched_resume(id_, std::max(t, now_), resume_event_);
+  m_.engine().schedule_external(std::max(t, now_), resume_event_);
 }
 
 void Cpu::on_resume(Cycle t) {
@@ -125,7 +125,7 @@ void Cpu::on_resume(Cycle t) {
 
 void Cpu::schedule_start() {
   resume_mode_ = ResumeMode::kStart;
-  m_.sched_resume(id_, 0, resume_event_);
+  m_.engine().schedule_external(0, resume_event_);
 }
 
 void Cpu::start(std::function<void(Cpu&)> body) {

@@ -1,12 +1,9 @@
 #include "core/machine.hpp"
 
 #include <stdexcept>
-#include <thread>
 
 #include "check/checker.hpp"
-#include "proto/base.hpp"
 #include "proto/sync_manager.hpp"
-#include "sim/shard.hpp"
 
 namespace lrc::core {
 
@@ -33,8 +30,7 @@ Machine::Machine(const SystemParams& params, ProtocolKind protocol,
       dram_(params.nprocs,
             mem::DramParams{params.mem_setup, params.mem_bandwidth}),
       classifier_(params.nprocs, params.line_bytes / mem::AddressMap::kWordBytes),
-      pp_free_(params.nprocs, 0),
-      node_state_(params.nprocs) {
+      pp_free_(params.nprocs, 0) {
   if (params_.cache.has_llc()) {
     llc_ = std::make_unique<mem::SharedLlc>(params_.cache, params_.nprocs,
                                             params_.line_bytes, params_.seed);
@@ -66,10 +62,9 @@ Machine::~Machine() {
   // A run that unwinds mid-flight (checker strict mode, a replay
   // TraceError) leaves events queued — including the Cpus' reusable
   // resume events, which live inside the Cpu objects. engine_ is declared
-  // before cpus_ and so is destroyed after them; drain every engine here,
-  // while the Cpus are still alive, so releasing those events is safe.
+  // before cpus_ and so is destroyed after them; drain it here, while the
+  // Cpus are still alive, so releasing those events is safe.
   engine_.drop_pending();
-  for (auto& e : shard_engines_) e->drop_pending();
 }
 
 check::Checker* Machine::enable_checker(bool strict) {
@@ -120,33 +115,12 @@ static_assert(sizeof(RedeliverEvent) <= sim::Engine::kMaxPooledBytes);
 
 }  // namespace
 
-// The three local scheduling paths below (redeliver, poke, resume) are all
-// same-node: the caller executes on the shard that owns the target node, so
-// keyed scheduling into engine_for(node) is thread-local by construction.
-
 void Machine::redeliver(const mesh::Message& msg, Cycle t) {
-  if (nshards_ == 0) {
-    engine_.schedule_make<RedeliverEvent>(t, *this, msg);
-    return;
-  }
-  engine_for(msg.dst).schedule_make_keyed<RedeliverEvent>(
-      t, next_key(msg.dst, msg.dst), *this, msg);
+  engine_.schedule_make<RedeliverEvent>(t, *this, msg);
 }
 
 void Machine::schedule_poke(NodeId p, Cycle t) {
-  if (nshards_ == 0) {
-    engine_.schedule_make<PokeEvent>(t, *this, p);
-    return;
-  }
-  engine_for(p).schedule_make_keyed<PokeEvent>(t, next_key(p, p), *this, p);
-}
-
-void Machine::sched_resume(NodeId p, Cycle when, sim::Event& ev) {
-  if (nshards_ == 0) {
-    engine_.schedule_external(when, ev);
-    return;
-  }
-  engine_for(p).schedule_external_keyed(when, next_key(p, p), ev);
+  engine_.schedule_make<PokeEvent>(t, *this, p);
 }
 
 void Machine::dispatch_deferred(const mesh::Message& msg, Cycle t) {
@@ -172,130 +146,6 @@ void Machine::dispatch(const mesh::Message& msg, Cycle t) {
   LRCSIM_HOOK(*this, after_handle(msg));
 }
 
-namespace {
-// Shard index the current host thread is driving (0 when serial). Used by
-// the NIC post_remote hook to tell local from cross-shard destinations.
-thread_local unsigned t_shard = 0;
-}  // namespace
-
-void Machine::setup_shards() {
-  if (trace_.enabled()) {
-    throw std::logic_error("sharded run: message trace is serial-only");
-  }
-  if (checker_) {
-    throw std::logic_error("sharded run: runtime checker is serial-only");
-  }
-  if (access_log_) {
-    throw std::logic_error("sharded run: trace capture is serial-only");
-  }
-  nshards_ = std::min(params_.shards, params_.nprocs);
-  shard_of_ = topo_.partition(nshards_);
-  const unsigned hops = topo_.min_cross_shard_hops(shard_of_);
-  // Lookahead: no cross-shard interaction can land sooner than the cheapest
-  // cross-shard hop. A single shard has no cross pair (hops == 0) — any
-  // window width is sound, so use one wide enough to never split a run.
-  lookahead_ = hops == 0
-                   ? (Cycle{1} << 40)
-                   : hops * (params_.switch_latency + params_.wire_latency);
-  shard_engines_.clear();
-  for (unsigned s = 0; s < nshards_; ++s) {
-    auto e = std::make_unique<sim::Engine>();
-    e->set_keyed(true);
-    shard_engines_.push_back(std::move(e));
-  }
-  for (auto& m : mail_) {
-    m.assign(nshards_, std::vector<std::vector<PostedMsg>>(nshards_));
-  }
-  shard_parity_.assign(nshards_, ShardParity{});
-
-  // Threaded-run hardening: page homes become read-only, the functional
-  // store switches to byte atomics, the classifier takes a lock.
-  amap_.freeze(store_.used());
-  store_.set_concurrent(nshards_ > 1);
-  classifier_.set_concurrent(nshards_ > 1);
-
-  // Partition the directory by the shard of each line's home node.
-  if (auto* base = dynamic_cast<proto::ProtocolBase*>(protocol_.get())) {
-    base->directory().set_sharding(
-        nshards_,
-        +[](void* ctx, LineId line) -> unsigned {
-          Machine* m = static_cast<Machine*>(ctx);
-          return m->shard_of_[m->amap_.home_of_line(line)];
-        },
-        this);
-  }
-
-  mesh::Nic::ShardHooks hooks;
-  hooks.engine_for = +[](void* ctx, NodeId n) -> sim::Engine* {
-    return &static_cast<Machine*>(ctx)->engine_for(n);
-  };
-  hooks.key_for = +[](void* ctx, NodeId actor, NodeId origin) -> std::uint64_t {
-    return static_cast<Machine*>(ctx)->next_key(actor, origin);
-  };
-  hooks.post_remote = +[](void* ctx, const mesh::Message& msg, Cycle arrive,
-                          std::uint64_t key) -> bool {
-    Machine* m = static_cast<Machine*>(ctx);
-    const unsigned to = m->shard_of_[msg.dst];
-    if (to == t_shard) return false;  // destination-local: schedule directly
-    m->mail_[m->shard_parity_[t_shard].v][t_shard][to].push_back(
-        PostedMsg{msg, arrive, key});
-    return true;
-  };
-  hooks.ctx = this;
-  nic_.set_shard_hooks(hooks);
-}
-
-Cycle Machine::shard_outbox_min(unsigned s) const {
-  // Earliest arrival among the messages shard s posted this window; the
-  // window-base reduction needs it because those messages are not in any
-  // engine queue yet (ShardSync::OutboxMinFn).
-  Cycle m = kNever;
-  const auto& rows = mail_[shard_parity_[s].v][s];
-  for (unsigned to = 0; to < nshards_; ++to) {
-    for (const PostedMsg& p : rows[to]) m = std::min(m, p.arrive);
-  }
-  return m;
-}
-
-void Machine::drain_shard(unsigned s) {
-  // Posting order across source shards does not matter: the keyed calendar
-  // queue totally orders arrivals by (when, key) regardless of insertion
-  // order. Ascending source order is kept for predictability.
-  const unsigned par = shard_parity_[s].v;
-  for (unsigned from = 0; from < nshards_; ++from) {
-    std::vector<PostedMsg>& box = mail_[par][from][s];
-    for (const PostedMsg& p : box) nic_.post_arrival(p.msg, p.arrive, p.key);
-    box.clear();
-  }
-  // Next window's posts go to the other buffer, leaving this one free for
-  // peers that have not finished draining it.
-  shard_parity_[s].v = par ^ 1;
-}
-
-void Machine::run_shards() {
-  std::vector<sim::Engine*> engines;
-  engines.reserve(nshards_);
-  for (auto& e : shard_engines_) engines.push_back(e.get());
-  sim::ShardSync sync(std::move(engines), lookahead_);
-  const auto outbox_min = +[](void* ctx, unsigned s) -> Cycle {
-    return static_cast<Machine*>(ctx)->shard_outbox_min(s);
-  };
-  const auto drain = +[](void* ctx, unsigned s) {
-    static_cast<Machine*>(ctx)->drain_shard(s);
-  };
-  std::vector<std::thread> workers;
-  workers.reserve(nshards_ - 1);
-  for (unsigned s = 1; s < nshards_; ++s) {
-    workers.emplace_back([this, &sync, outbox_min, drain, s] {
-      t_shard = s;
-      sync.run_shard(s, outbox_min, drain, this);
-    });
-  }
-  t_shard = 0;
-  sync.run_shard(0, outbox_min, drain, this);
-  for (std::thread& w : workers) w.join();
-}
-
 void Machine::run(std::function<void(Cpu&)> body) {
   if (ran_) throw std::logic_error("Machine::run may be called only once");
   ran_ = true;
@@ -311,14 +161,8 @@ void Machine::run(std::function<void(Cpu&)> body) {
                              "unsupported");
     }
   }
-  if (params_.shards > 0) {
-    setup_shards();  // before start(): fiber kick-offs schedule keyed events
-    for (auto& c : cpus_) c->start(body);
-    run_shards();
-  } else {
-    for (auto& c : cpus_) c->start(body);
-    engine_.run();
-  }
+  for (auto& c : cpus_) c->start(body);
+  engine_.run();
   std::string stuck;
   for (auto& c : cpus_) {
     if (!c->finished()) {
@@ -359,16 +203,8 @@ Report Machine::report() const {
   r.lock_acquires = lock_acquires();
   r.barrier_episodes = barrier_episodes();
   r.sync = sync_->stats();
-  if (nshards_ == 0) {
-    r.sched_past_violations = engine_.past_violations();
-    r.events_executed = engine_.events_executed();
-  } else {
-    for (const auto& e : shard_engines_) {
-      r.shard_past_violations.push_back(e->past_violations());
-      r.sched_past_violations += e->past_violations();
-      r.events_executed += e->events_executed();
-    }
-  }
+  r.sched_past_violations = engine_.past_violations();
+  r.events_executed = engine_.events_executed();
   for (const auto& c : cpus_) {
     r.execution_time = std::max(r.execution_time, c->now());
     r.per_cpu.push_back(c->breakdown());

@@ -114,33 +114,6 @@ class Machine {
 
   sim::Engine& engine() { return engine_; }
 
-  // ---- Parallel simulation (DESIGN.md §10) -------------------------------
-
-  /// Shard count of the current run: 0 while serial (the legacy engine),
-  /// min(params.shards, nprocs) once a sharded run() is under way.
-  unsigned shards() const { return nshards_; }
-
-  /// Engine that owns node `n`'s events (the serial engine when unsharded).
-  sim::Engine& engine_for(NodeId n) {
-    return nshards_ == 0 ? engine_ : *shard_engines_[shard_of_[n]];
-  }
-
-  /// Simulated time at node `n`'s engine (shard-local in sharded runs).
-  Cycle now_at(NodeId n) { return engine_for(n).now(); }
-
-  /// Mints the deterministic structural event key (keyed engine order):
-  /// (acting node, minting node, per-minting-node counter). A pure function
-  /// of the program, so identical for every shard count. Must be called
-  /// from the shard that owns `origin`.
-  std::uint64_t next_key(NodeId actor, NodeId origin) {
-    return (static_cast<std::uint64_t>(actor) << 54) |
-           (static_cast<std::uint64_t>(origin) << 44) |
-           node_state_[origin].key_ctr++;
-  }
-
-  /// Schedules processor `p`'s resume event (legacy or keyed, per mode).
-  void sched_resume(NodeId p, Cycle when, sim::Event& ev);
-
   mesh::Topology& topo() { return topo_; }
   mesh::Nic& nic() { return nic_; }
   mem::AddressMap& amap() { return amap_; }
@@ -158,9 +131,8 @@ class Machine {
   /// before run() records every delivery for debugging/tests.
   sim::Trace& trace() { return trace_; }
 
-  /// Installs a workload-stream capture hook (trace front end; serial-only,
-  /// like the message trace and the checker). Call before run() with a log
-  /// that outlives it; nullptr detaches.
+  /// Installs a workload-stream capture hook (trace front end). Call before
+  /// run() with a log that outlives it; nullptr detaches.
   void set_access_log(AccessLog* log) { access_log_ = log; }
   AccessLog* access_log() const { return access_log_; }
 
@@ -206,45 +178,14 @@ class Machine {
     return dram_.access(node, at, bytes, true);
   }
 
-  // Event-visible run counters. Stored per acting node so sharded runs
-  // bump only shard-local rows; the accessors sum in node order.
-  std::uint64_t lock_acquires() const {
-    std::uint64_t n = 0;
-    for (const NodeState& s : node_state_) n += s.lock_acquires;
-    return n;
-  }
-  std::uint64_t barrier_episodes() const {
-    std::uint64_t n = 0;
-    for (const NodeState& s : node_state_) n += s.barrier_episodes;
-    return n;
-  }
-  void note_lock_acquire(NodeId p) { ++node_state_[p].lock_acquires; }
-  void note_barrier_episode(NodeId p) { ++node_state_[p].barrier_episodes; }
+  // Event-visible run counters.
+  std::uint64_t lock_acquires() const { return lock_acquires_; }
+  std::uint64_t barrier_episodes() const { return barrier_episodes_; }
+  void note_lock_acquire() { ++lock_acquires_; }
+  void note_barrier_episode() { ++barrier_episodes_; }
 
  private:
   void dispatch(const mesh::Message& msg, Cycle t);
-
-  // Sharded-run internals (machine.cpp; see DESIGN.md §10).
-  void setup_shards();
-  void run_shards();
-  Cycle shard_outbox_min(unsigned s) const;
-  void drain_shard(unsigned s);
-
-  // Per-node mutable scalars touched from event context: one cache line per
-  // node, so shards never false-share.
-  struct alignas(64) NodeState {
-    std::uint64_t key_ctr = 0;  // next_key() counter for events minted here
-    std::uint64_t lock_acquires = 0;
-    std::uint64_t barrier_episodes = 0;
-  };
-
-  // A cross-shard NIC arrival parked until the destination shard's next
-  // window drain.
-  struct PostedMsg {
-    mesh::Message msg;
-    Cycle arrive = 0;
-    std::uint64_t key = 0;
-  };
 
   SystemParams params_;
   ProtocolKind kind_;
@@ -263,27 +204,9 @@ class Machine {
   std::vector<std::unique_ptr<Cpu>> cpus_;
   std::unique_ptr<check::Checker> checker_;
   AccessLog* access_log_ = nullptr;
+  std::uint64_t lock_acquires_ = 0;
+  std::uint64_t barrier_episodes_ = 0;
   bool ran_ = false;
-
-  // Sharded-run state (empty/0 while serial).
-  unsigned nshards_ = 0;
-  Cycle lookahead_ = 1;
-  std::vector<std::uint8_t> shard_of_;  // node -> shard
-  std::vector<std::unique_ptr<sim::Engine>> shard_engines_;
-  // mail_[parity][from][to]: written only by shard `from` while executing a
-  // window, drained only by shard `to` after that window's barrier. The
-  // single barrier per window lets a fast poster start the next window
-  // while a slow peer still drains, so boxes are double-buffered by window
-  // parity — the barrier bounds the skew to one window, making the buffers
-  // race-free with no locks.
-  std::vector<std::vector<std::vector<PostedMsg>>> mail_[2];
-  // Current mailbox parity per shard, owned by that shard's thread; all
-  // shards flip in lockstep (once per window, in drain_shard).
-  struct alignas(64) ShardParity {
-    unsigned v = 0;
-  };
-  std::vector<ShardParity> shard_parity_;
-  std::vector<NodeState> node_state_;  // [node]
 };
 
 // ---- Cpu template methods (need Machine) ----------------------------------

@@ -63,14 +63,6 @@ struct SystemParams {
   mem::HomePolicy home_policy = mem::HomePolicy::kRoundRobin;
   std::uint64_t seed = 1;        // workload-generator seed
 
-  // Parallel simulation (DESIGN.md §10). 0 = the serial legacy engine,
-  // bit-identical to every pre-sharding release. N >= 1 = conservative
-  // parallel DES over min(N, nprocs) shards with the *keyed* deterministic
-  // event order: stats are bit-identical across shard counts (1, 2, 4, ...)
-  // but same-cycle tie order may differ from the serial engine's
-  // schedule-order tie-break, so shards=1 is not required to match shards=0.
-  unsigned shards = 0;
-
   /// Paper Table 1 defaults at a given processor count.
   static SystemParams paper_default(unsigned nprocs = 64);
 

@@ -44,25 +44,17 @@ class AddressMap {
   WordMask word_mask(Addr a, std::uint32_t bytes) const;
 
   /// Home node for the page containing `a`. For first-touch, `toucher` is
-  /// recorded on the first call mentioning the page. After freeze() the map
-  /// is read-only (pages past the frozen range fall back to the pure
-  /// round-robin formula), so concurrent calls are safe.
+  /// recorded on the first call mentioning the page.
   NodeId home_of(Addr a, NodeId toucher = kInvalidNode) {
     const std::uint64_t page = a >> page_shift_;
     if (page < page_home_.size() && page_home_[page] != kInvalidNode) {
       return page_home_[page];
     }
-    if (frozen_) return static_cast<NodeId>(page % nodes_);
     return resolve_home(page, toucher);
   }
   NodeId home_of_line(LineId l, NodeId toucher = kInvalidNode) {
     return home_of(line_base(l), toucher);
   }
-
-  /// Pre-resolves round-robin homes for every page up to `limit_bytes`, so
-  /// a sharded run never grows page_home_ from concurrent home_of calls.
-  /// Only valid for kRoundRobin (first-touch homes depend on access order).
-  void freeze(std::uint64_t limit_bytes);
 
   static constexpr std::uint32_t kWordBytes = 4;
 
@@ -78,7 +70,6 @@ class AddressMap {
   unsigned page_shift_;
   Addr line_mask_;  // line_bytes - 1
   HomePolicy policy_;
-  bool frozen_ = false;            // see freeze()
   std::vector<NodeId> page_home_;  // indexed by page number (grown lazily)
 };
 

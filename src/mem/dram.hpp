@@ -48,8 +48,8 @@ class Dram {
   }
 
  private:
-  // All mutable per-access state lives in the accessed node's channel, so
-  // sharded runs touch only shard-local cache lines here.
+  // All mutable per-access state lives in the accessed node's channel;
+  // node_stats() reads one channel's counters for per-home reports.
   struct alignas(64) Channel {
     Cycle free = 0;
     std::uint32_t cached_bytes = 0;  // memoized size→cost pair (hot path)

@@ -80,9 +80,8 @@ void Nic::send(Cycle when, Message msg) {
   assert(msg.src < topo_.nodes() && msg.dst < topo_.nodes());
   assert(deliver_fn_ && "NIC delivery callback not installed");
 
-  // Source-side counters: in a sharded run send() executes on the source
-  // node's shard, so per-node rows make the bumps thread-local. The whole-
-  // mesh totals (stats()) are plain sums, bit-identical to a single row.
+  // Source-side counters land in the sender's row (node_stats); the whole-
+  // mesh totals (stats()) are plain sums over the rows.
   NicStats& st = stats_[msg.src];
   ++st.messages;
   ++st.per_kind[static_cast<std::size_t>(msg.kind)];
@@ -104,17 +103,6 @@ void Nic::send(Cycle when, Message msg) {
   const Cycle arrive = depart + uncontended_latency(msg.src, msg.dst,
                                                     msg.payload_bytes);
 
-  if (sharded_) {
-    // Keyed arrival order: (destination, source, per-source counter) — a
-    // pure function of the program, so delivery order is identical for any
-    // shard count. Cross-shard arrivals go to the destination shard's
-    // inbox; it schedules them at its next window drain (post_arrival).
-    const std::uint64_t key = hooks_.key_for(hooks_.ctx, msg.dst, msg.src);
-    if (hooks_.post_remote(hooks_.ctx, msg, arrive, key)) return;
-    post_arrival(msg, arrive, key);
-    return;
-  }
-
   // Batch onto the previous arrival event when (a) it is still pending for
   // this same cycle and (b) it holds the engine's most recent sequence
   // number. (b) proves no other event was scheduled in between, so the
@@ -128,12 +116,6 @@ void Nic::send(Cycle when, Message msg) {
     return;
   }
   pending_arrival_ = engine_.schedule_make<Arrival>(arrive, *this, msg);
-}
-
-void Nic::post_arrival(const Message& msg, Cycle arrive, std::uint64_t key) {
-  assert(sharded_);
-  hooks_.engine_for(hooks_.ctx, msg.dst)
-      ->schedule_make_keyed<Arrival>(arrive, key, *this, msg);
 }
 
 NicStats Nic::stats() const {
@@ -161,18 +143,14 @@ void Nic::arbitrate_sink(const Message& msg, Cycle t) {
   // ordinary runs same-cycle calls here carry non-decreasing current_seq()
   // (a batched Arrival repeats one seq) and the flag stays false. Only a
   // schedule explorer picking a non-default tie order can invert it.
-  // Sharded runs skip the watermark: keys already fix the tie order, and
-  // engine_ aliases shard 0 only (the checker is serial-only anyway).
-  if (!sharded_) {
-    TieMark& tm = tie_mark_[msg.dst];
-    const std::uint64_t seq = engine_.current_seq();
-    if (tm.cycle == t) {
-      m.tie_inverted = seq < tm.max_seq;
-      if (seq > tm.max_seq) tm.max_seq = seq;
-    } else {
-      tm.cycle = t;
-      tm.max_seq = seq;
-    }
+  TieMark& tm = tie_mark_[msg.dst];
+  const std::uint64_t seq = engine_.current_seq();
+  if (tm.cycle == t) {
+    m.tie_inverted = seq < tm.max_seq;
+    if (seq > tm.max_seq) tm.max_seq = seq;
+  } else {
+    tm.cycle = t;
+    tm.max_seq = seq;
   }
 #endif
   // Sink endpoint: serialize deliveries. The current message is delivered at
@@ -182,11 +160,6 @@ void Nic::arbitrate_sink(const Message& msg, Cycle t) {
   in_free_[msg.dst] = deliver_at + occupancy(msg);
   if (deliver_at == t) {
     deliver(m, t);
-  } else if (sharded_) {
-    // Always destination-local: the Delivery fires on this same shard.
-    hooks_.engine_for(hooks_.ctx, msg.dst)
-        ->schedule_make_keyed<Delivery>(
-            deliver_at, hooks_.key_for(hooks_.ctx, msg.dst, msg.dst), *this, m);
   } else {
     engine_.schedule_make<Delivery>(deliver_at, *this, m);
   }

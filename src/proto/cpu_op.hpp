@@ -14,8 +14,8 @@
 // starts inside the co_await expression, exactly where the old direct call
 // ran, so host-call order — and therefore event order and every golden
 // digest — is unchanged. Frames recycle through a thread-local freelist
-// (shard-thread-confined, like every other per-node pool), so steady-state
-// ops allocate nothing.
+// (each --jobs worker thread runs whole machines), so steady-state ops
+// allocate nothing.
 #pragma once
 
 #include <cassert>
@@ -39,12 +39,12 @@ struct Wait {
 namespace op_detail {
 
 // Coroutine-frame pool: 64-byte-granule buckets on a thread-local freelist.
-// Ops are created, driven, and destroyed by the thread that owns their node
-// (the shard thread in sharded runs), so no locking is needed; a frame
-// abandoned at machine teardown simply migrates to the destroying thread's
-// pool. The first op of each shape on a thread takes one global allocation;
-// after that the hot path (one frame per memory access) recycles — the
-// zero-allocs-per-access gate in bench/micro_trace.cpp pins this.
+// Ops are created, driven, and destroyed by the thread running their
+// machine, so no locking is needed; a frame abandoned at machine teardown
+// simply migrates to the destroying thread's pool. The first op of each
+// shape on a thread takes one global allocation; after that the hot path
+// (one frame per memory access) recycles — the zero-allocs-per-access gate
+// in bench/micro_trace.cpp pins this.
 inline constexpr std::size_t kFrameGranule = 64;
 inline constexpr std::size_t kFrameBuckets = 64;  // pooled up to ~4 KiB
 

@@ -113,105 +113,45 @@ class Directory {
   using MsgPool = util::OverflowPool<mesh::Message>;
   using ColPool = util::OverflowPool<DirEntry::NoticeCollection>;
 
-  /// Resolver for sharded runs: maps a line to its sub-directory (the shard
-  /// owning the line's home node). Every structure below — index, slabs,
-  /// overflow pools — is per sub, so shards never contend. The serial
-  /// default is one sub, making every accessor identical to the unsharded
-  /// directory.
-  using SubFn = unsigned (*)(void* ctx, LineId line);
-
-  Directory() : subs_(1) {}
-
-  /// Splits storage into `nsubs` independent sub-directories addressed by
-  /// `fn`. Must be called before any entry is created.
-  void set_sharding(unsigned nsubs, SubFn fn, void* ctx) {
-    assert(size() == 0 && "set_sharding after entries exist");
-    assert(nsubs >= 1 && fn != nullptr);
-    subs_.clear();
-    subs_.resize(nsubs);
-    sub_fn_ = fn;
-    sub_ctx_ = ctx;
-  }
-
   /// Entry accessor; creates an Uncached entry on first touch. The returned
   /// reference is stable for the lifetime of the directory (entries live in
   /// chunked slabs and are never moved or removed).
   DirEntry& entry(LineId line) {
-    Sub& s = sub(line);
     bool created = false;
-    std::uint32_t& slot = s.index.get_or_create(line, &created);
+    std::uint32_t& slot = index_.get_or_create(line, &created);
     if (created) {
-      slot = s.slabs.acquire();
-      s.lines.push_back(line);
+      slot = slabs_.acquire();
+      lines_.push_back(line);
     }
-    return s.slabs[slot];
+    return slabs_[slot];
   }
 
   DirEntry* find(LineId line) {
-    Sub& s = sub(line);
-    const std::uint32_t* slot = s.index.find(line);
-    return slot == nullptr ? nullptr : &s.slabs[*slot];
+    const std::uint32_t* slot = index_.find(line);
+    return slot == nullptr ? nullptr : &slabs_[*slot];
   }
 
-  std::size_t size() const {
-    std::size_t n = 0;
-    for (const Sub& s : subs_) n += s.lines.size();
-    return n;
-  }
+  std::size_t size() const { return lines_.size(); }
 
-  /// Visits every entry, sub by sub, in creation order within each sub
-  /// (deterministic; identical to global creation order when serial).
+  /// Visits every entry in creation order (deterministic).
   template <typename Fn>
   void for_each(Fn&& fn) {
-    for (Sub& s : subs_) {
-      for (std::uint32_t i = 0; i < s.lines.size(); ++i) {
-        fn(s.lines[i], s.slabs[i]);
-      }
-    }
+    for (std::uint32_t i = 0; i < lines_.size(); ++i) fn(lines_[i], slabs_[i]);
   }
 
-  /// Overflow pools for the per-entry transients of `line`'s sub; pass to
-  /// SmallVec operations on that entry's `deferred` / `collections`.
-  MsgPool& msg_pool(LineId line) { return sub(line).msg_pool; }
-  ColPool& col_pool(LineId line) { return sub(line).col_pool; }
-
-  /// Whole-directory pools, valid only while unsharded (checker, benches,
-  /// unit tests drive the serial configuration).
-  MsgPool& msg_pool() {
-    assert(subs_.size() == 1);
-    return subs_[0].msg_pool;
-  }
-  const MsgPool& msg_pool() const {
-    assert(subs_.size() == 1);
-    return subs_[0].msg_pool;
-  }
-  ColPool& col_pool() {
-    assert(subs_.size() == 1);
-    return subs_[0].col_pool;
-  }
-  const ColPool& col_pool() const {
-    assert(subs_.size() == 1);
-    return subs_[0].col_pool;
-  }
+  /// Overflow pools for the per-entry transients. Shared by all entries;
+  /// pass to SmallVec operations on `deferred` / `collections`.
+  MsgPool& msg_pool() { return msg_pool_; }
+  const MsgPool& msg_pool() const { return msg_pool_; }
+  ColPool& col_pool() { return col_pool_; }
+  const ColPool& col_pool() const { return col_pool_; }
 
  private:
-  struct Sub {
-    util::FlatMap<std::uint32_t> index;  // line -> slab slot
-    util::StableSlabs<DirEntry> slabs;   // slot i created i-th, never freed
-    std::vector<LineId> lines;           // slot -> line (for for_each)
-    MsgPool msg_pool;
-    ColPool col_pool;
-  };
-
-  Sub& sub(LineId line) {
-    // Single-sub is the serial hot path: one predictable branch, no call.
-    return subs_.size() == 1 ? subs_[0]
-                             : subs_[sub_fn_(sub_ctx_, line)];
-  }
-
-  std::vector<Sub> subs_;
-  SubFn sub_fn_ = nullptr;
-  void* sub_ctx_ = nullptr;
+  util::FlatMap<std::uint32_t> index_;  // line -> slab slot
+  util::StableSlabs<DirEntry> slabs_;   // slot i created i-th, never freed
+  std::vector<LineId> lines_;           // slot -> line (for for_each)
+  MsgPool msg_pool_;
+  ColPool col_pool_;
 };
 
 inline std::string_view to_string(DirState s) {

@@ -36,7 +36,7 @@ void ErcWt::commit_write(NodeId p, LineId line, WordMask words) {
   assert(cpu.dcache().find(line) != nullptr);
   if (auto victim = cpu.cb().add(line, words)) {
     send_write_through(p, victim->line, victim->words,
-                       std::max(cpu.now(), m_.now_at(cpu.id())));
+                       std::max(cpu.now(), m_.engine().now()));
   }
   m_.classifier().on_write_committed(p, line, words);
 }

@@ -383,7 +383,7 @@ Cycle Lrc::home_write_req(const Message& msg, Cycle start) {
   if (need_data) {
     const Cycle mem = dram_line(home, msg.line, start, /*write=*/false);
     if (depends > 0) {
-      e.collections.push_back({writer, depends}, dir_.col_pool(msg.line));
+      e.collections.push_back({writer, depends}, dir_.col_pool());
     } else {
       tag |= kTagAcked;
     }
@@ -391,7 +391,7 @@ Cycle Lrc::home_write_req(const Message& msg, Cycle start) {
          msg.line, line_bytes(), tag);
   } else {
     if (depends > 0) {
-      e.collections.push_back({writer, depends}, dir_.col_pool(msg.line));
+      e.collections.push_back({writer, depends}, dir_.col_pool());
     } else {
       send(start + cost, MsgKind::kWriteAck, home, writer, msg.line, 0, tag);
     }
@@ -406,8 +406,7 @@ Cycle Lrc::home_notice_ack(const Message& msg, Cycle start) {
   assert(e.notices_outstanding > 0);
   --e.notices_outstanding;
   const std::uint64_t tag = e.state == DirState::kWeak ? kTagWeak : 0;
-  e.collections.erase_if(dir_.col_pool(msg.line),
-                         [&](DirEntry::NoticeCollection& c) {
+  e.collections.erase_if(dir_.col_pool(), [&](DirEntry::NoticeCollection& c) {
     if (--c.remaining != 0) return false;
     send(start + cost, MsgKind::kWriteAck, home, c.writer, msg.line, 0, tag);
     if (tag & kTagWeak) e.notified |= proc_bit(c.writer);

@@ -141,8 +141,7 @@ class LrcExt final : public Lrc {
   std::vector<util::FlatMap<WordMask>> delayed_;
   /// Per-processor scratch for flush_for_release's snapshot of delayed
   /// lines (the flush mutates the map mid-walk); reused so steady-state
-  /// releases allocate nothing, per-processor so concurrent releases on
-  /// different shards never share it.
+  /// releases allocate nothing.
   std::vector<std::vector<LineId>> flush_scratch_;
   /// Lines whose writes this node has already announced to the home (they
   /// behave like base-LRC written lines until evicted or invalidated).

@@ -239,7 +239,7 @@ void MsiBase::evict_victim(NodeId p, const cache::CacheLine& victim,
   // without a copy.
 }
 
-void MsiBase::unbusy_and_replay(DirEntry& e, LineId line, Cycle at) {
+void MsiBase::unbusy_and_replay(DirEntry& e, Cycle at) {
   e.busy = false;
   e.pending_requester = kInvalidNode;
   e.pending_owner = kInvalidNode;
@@ -247,9 +247,9 @@ void MsiBase::unbusy_and_replay(DirEntry& e, LineId line, Cycle at) {
   e.pending_mem_done = 0;
   // redeliver() only schedules a RedeliverEvent (no reentrant dispatch), so
   // the queue can be walked in place and then reclaimed.
-  e.deferred.for_each(dir_.msg_pool(line),
+  e.deferred.for_each(dir_.msg_pool(),
                       [&](const Message& msg) { m_.redeliver(msg, at); });
-  e.deferred.clear(dir_.msg_pool(line));
+  e.deferred.clear(dir_.msg_pool());
 }
 
 // ---- Message dispatch --------------------------------------------------------
@@ -295,7 +295,7 @@ Cycle MsiBase::home_read(const Message& msg, Cycle start) {
   const NodeId req = msg.src;
   DirEntry& e = dir_.entry(msg.line);
   if (e.busy) {
-    e.deferred.push_back(msg, dir_.msg_pool(msg.line));
+    e.deferred.push_back(msg, dir_.msg_pool());
     return 1;
   }
   switch (e.state) {
@@ -343,7 +343,7 @@ Cycle MsiBase::home_write(const Message& msg, Cycle start) {
   const NodeId req = msg.src;
   DirEntry& e = dir_.entry(msg.line);
   if (e.busy) {
-    e.deferred.push_back(msg, dir_.msg_pool(msg.line));
+    e.deferred.push_back(msg, dir_.msg_pool());
     return 1;
   }
   // An upgrade only remains an upgrade if the requester still holds a copy.
@@ -440,7 +440,7 @@ Cycle MsiBase::home_writeback(const Message& msg, Cycle start) {
       send(std::max(mem, start + dir_cost()), MsgKind::kReadExReply, home, req,
            msg.line, line_bytes());
     }
-    unbusy_and_replay(e, msg.line, start + dir_cost());
+    unbusy_and_replay(e, start + dir_cost());
     return dir_cost();
   }
 
@@ -463,7 +463,7 @@ Cycle MsiBase::home_sharing_wb(const Message& msg, Cycle start) {
   e.state = DirState::kShared;
   e.writers = 0;
   e.sharers |= proc_bit(owner) | proc_bit(e.pending_requester);
-  unbusy_and_replay(e, msg.line, start + dir_cost());
+  unbusy_and_replay(e, start + dir_cost());
   return dir_cost();
 }
 
@@ -478,7 +478,7 @@ Cycle MsiBase::home_inval_ack(const Message& msg, Cycle start) {
     e.state = DirState::kDirty;
     e.sharers = proc_bit(req);
     e.writers = proc_bit(req);
-    unbusy_and_replay(e, msg.line, start + cost);
+    unbusy_and_replay(e, start + cost);
     return cost;
   }
 
@@ -507,7 +507,7 @@ Cycle MsiBase::home_inval_ack(const Message& msg, Cycle start) {
       send(std::max(mem, start + cost), MsgKind::kReadExReply, home, req,
            msg.line, line_bytes());
     }
-    unbusy_and_replay(e, msg.line, start + cost);
+    unbusy_and_replay(e, start + cost);
     return cost;
   }
 
@@ -524,7 +524,7 @@ Cycle MsiBase::home_inval_ack(const Message& msg, Cycle start) {
     e.state = DirState::kDirty;
     e.sharers = proc_bit(req);
     e.writers = proc_bit(req);
-    unbusy_and_replay(e, msg.line, start + cost);
+    unbusy_and_replay(e, start + cost);
   }
   return cost;
 }

@@ -63,7 +63,7 @@ class MsiBase : public ProtocolBase {
   /// write-through variant streams words to memory instead).
   virtual void commit_write(NodeId p, LineId line, WordMask words);
 
-  void unbusy_and_replay(DirEntry& e, LineId line, Cycle at);
+  void unbusy_and_replay(DirEntry& e, Cycle at);
 };
 
 /// Sequential consistency: every access stalls until globally performed.

@@ -99,7 +99,7 @@ Cycle SyncManager::handle(const Message& msg, Cycle start) {
       break;
     }
     case MsgKind::kLockGrant: {
-      m_.note_lock_acquire(msg.dst);
+      m_.note_lock_acquire();
       ++stats_[msg.dst].lock_grants;
       if (on_lock_granted) on_lock_granted(msg.dst, msg.sync, done);
       break;
@@ -109,7 +109,7 @@ Cycle SyncManager::handle(const Message& msg, Cycle start) {
       BarrierState& b = barriers_[msg.dst][msg.sync];
       if (++b.arrived == m_.nprocs()) {
         b.arrived = 0;
-        m_.note_barrier_episode(msg.dst);
+        m_.note_barrier_episode();
         for (NodeId p = 0; p < m_.nprocs(); ++p) {
           Message rel;
           rel.kind = MsgKind::kBarrierRelease;

@@ -56,8 +56,8 @@ class SyncManager {
   std::function<void(NodeId p, SyncId s, Cycle t)> on_barrier_released;
 
   // Introspection for tests and reports. stats() sums the per-node rows in
-  // node order (max_queue merges with max), so sharded totals are
-  // bit-identical to a serial run's single accumulator.
+  // node order (max_queue merges with max); node_stats() keeps the rows
+  // apart so hot-spot reports can name the homes whose locks convoyed.
   bool lock_held(SyncId s) const;
   std::size_t lock_queue_len(SyncId s) const;
   SyncStats stats() const;
@@ -76,7 +76,7 @@ class SyncManager {
   core::Machine& m_;
   // Lock/barrier state is partitioned by home node (home_of(s) is the only
   // node that ever touches variable s's entry), and counters by acting
-  // node, so sharded runs mutate only shard-local rows.
+  // node, which is the attribution per-node hot-spot reports need.
   // det-lint: ok(keyed access only — nothing ever iterates these maps, so
   //   their unspecified order cannot reach stats or reports; values hold a
   //   deque, which FlatMap's trivially-copyable constraint rules out)

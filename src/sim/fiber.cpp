@@ -103,8 +103,9 @@ void Fiber::resume() {
   g_current = this;
   started_ = true;
 #ifdef LRC_FIBER_TSAN
-  // Refreshed per resume: sharded runs drive each fiber from its shard's
-  // worker thread, not necessarily the thread that constructed it.
+  // Refreshed per resume rather than cached at construction, so the switch
+  // back always targets the thread doing the resuming; under --jobs that is
+  // the harness worker running this fiber's machine.
   tsan_caller_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif

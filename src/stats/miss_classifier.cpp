@@ -15,8 +15,6 @@ MissClassifier::MissClassifier(unsigned nprocs, unsigned words_per_line)
 
 void MissClassifier::on_write_committed(NodeId writer, LineId line,
                                         WordMask words) {
-  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
-  if (concurrent_) lk.lock();
   bool created = false;
   std::uint32_t& block = word_index_.get_or_create(line, &created);
   if (created) {
@@ -34,16 +32,12 @@ void MissClassifier::on_write_committed(NodeId writer, LineId line,
 }
 
 void MissClassifier::on_fill(NodeId proc, LineId line) {
-  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
-  if (concurrent_) lk.lock();
   LineHist& h = hist_[proc].get_or_create(line);
   h.status = LineHist::Status::kCached;
   h.fill_stamp = stamp_;
 }
 
 void MissClassifier::on_copy_lost(NodeId proc, LineId line, bool coherence) {
-  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
-  if (concurrent_) lk.lock();
   LineHist& h = hist_[proc].get_or_create(line);
   h.status = coherence ? LineHist::Status::kLostInval
                        : LineHist::Status::kLostEvict;
@@ -51,8 +45,6 @@ void MissClassifier::on_copy_lost(NodeId proc, LineId line, bool coherence) {
 
 MissClass MissClassifier::classify(NodeId proc, LineId line, unsigned word,
                                    bool upgrade) {
-  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
-  if (concurrent_) lk.lock();
   MissClass c;
   if (upgrade) {
     c = MissClass::kWrite;

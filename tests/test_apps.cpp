@@ -15,6 +15,12 @@ struct Case {
   ProtocolKind kind;
 };
 
+// Without a printer gtest lists the raw bytes of `app`, a pointer, so the
+// listed (and CTest-registered) test names would change with every link.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.app << "/" << core::to_string(c.kind);
+}
+
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   std::string n = std::string(info.param.app) + "_" +
                   std::string(core::to_string(info.param.kind));

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "bench/harness.hpp"
 #include "core/machine.hpp"
 #include "core/params.hpp"
 #include "core/report.hpp"
@@ -204,6 +208,51 @@ TEST(Report, PerLevelLinesOnlyForMultiLevelConfigs) {
   const std::string llc = run_summary(
       cache::CacheConfig::l1_only().add_llc(16 * 1024, 4));
   EXPECT_NE(llc.find("LLC:"), std::string::npos);
+}
+
+// ---- Harness command line -------------------------------------------------
+
+// Runs bench::Options::parse over `args`, with a program name prepended.
+bench::Options parse_args(std::vector<std::string> args) {
+  args.insert(args.begin(), "fig");
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  return bench::Options::parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(HarnessCli, AcceptsNumericFlagsAtTheirBounds) {
+  const auto opt = parse_args({"--procs", "64", "--seed",
+                               "18446744073709551615", "--cache-kb",
+                               "4194303", "--line", "64", "--jobs", "3"});
+  EXPECT_EQ(opt.procs, 64u);
+  EXPECT_EQ(opt.seed, 18446744073709551615ull);
+  EXPECT_EQ(opt.cache_bytes, 4194303u * 1024u);
+  EXPECT_EQ(opt.line_bytes, 64u);
+  EXPECT_EQ(opt.jobs, 3u);
+}
+
+// Every malformed numeric value is a usage error (exit 2) that names the
+// flag: nothing wraps around or escapes as an exception.
+TEST(HarnessCliDeathTest, RejectsMalformedNumericFlags) {
+  const struct {
+    const char* flag;
+    const char* value;
+  } cases[] = {
+      {"--procs", "abc"},  // non-digits
+      {"--line", ""},      // empty
+      {"--line", "64x"},   // trailing garbage
+      {"--seed", "-5"},    // sign
+      {"--jobs", "-1"},
+      {"--procs", "65"},   // above kMaxProcs
+      {"--jobs", "0"},
+      {"--cache-kb", "4194304"},  // * 1024 no longer fits 32 bits
+      {"--seed", "18446744073709551616"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EXIT(parse_args({c.flag, c.value}), ::testing::ExitedWithCode(2),
+                c.flag)
+        << c.flag << " '" << c.value << "'";
+  }
 }
 
 }  // namespace

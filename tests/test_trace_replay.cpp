@@ -6,14 +6,10 @@
 // processor's workload stream exactly and every protocol op is the same
 // CpuOp coroutine the fiber front end drives.
 //
-//  * Serial replay (shards = 0) uses the same legacy engine as the
-//    captured run: the FULL report digest must match, for every litmus
-//    program, every protocol, several seeds, and for fft at 64 nodes.
-//  * Sharded replay (shards >= 1) uses the keyed engine, which is
-//    bit-identical across shard counts but not to the legacy engine; a
-//    replayed trace must match a native fiber run at the same shard count
-//    (possible only for programs whose access stream is schedule-
-//    independent, i.e. no RIF), and must be shard-count invariant for all.
+//  * Replay runs on the same engine as the captured run: the FULL report
+//    digest must match, for every litmus program, every protocol, several
+//    seeds, and for fft at 64 nodes — also when the replayed cells run
+//    concurrently under --jobs.
 //  * Malformed traces (bad magic, flipped bits, truncation) fail with a
 //    TraceError naming the file and block — never UB.
 #include <gtest/gtest.h>
@@ -38,7 +34,6 @@
 namespace lrc {
 namespace {
 
-using check::LitmusOp;
 using check::LitmusProgram;
 using check::LitmusRunOptions;
 using core::ProtocolKind;
@@ -57,18 +52,6 @@ std::vector<std::string> corpus_files() {
   return files;
 }
 
-// RIF reads are conditional on a host register, so the executed access
-// stream depends on the schedule; a trace captured under one engine need
-// not match a native run under the other.
-bool schedule_independent(const LitmusProgram& prog) {
-  for (const auto& ops : prog.code) {
-    for (const LitmusOp& op : ops) {
-      if (op.kind == LitmusOp::kReadIf) return false;
-    }
-  }
-  return true;
-}
-
 // Fresh per-test scratch directory under the gtest temp root.
 std::string scratch_dir(const std::string& leaf) {
   const std::string dir = ::testing::TempDir() + "lrc_trace_" + leaf;
@@ -76,15 +59,12 @@ std::string scratch_dir(const std::string& leaf) {
   return dir;
 }
 
-// Runs the program and returns the post-run Report digest (full for serial
-// runs, the sharded subset otherwise).
+// Runs the program and returns the post-run Report digest.
 std::uint64_t litmus_digest(const LitmusProgram& prog, ProtocolKind kind,
                             LitmusRunOptions opts) {
   std::uint64_t d = 0;
   opts.post_run = [&](core::Machine& m) {
-    const core::Report r = m.report();
-    d = opts.shards == 0 ? testutil::report_digest(r)
-                         : testutil::sharded_report_digest(r);
+    d = testutil::report_digest(m.report());
   };
   run_litmus(prog, kind, opts);
   return d;
@@ -128,66 +108,8 @@ TEST(TraceReplay, LitmusCorpusBitIdentical) {
   std::filesystem::remove_all(dir);
 }
 
-// A serially-captured trace replayed under the keyed engine must match a
-// native fiber run at the same shard count — for programs whose stream is
-// a pure function of program order.
-TEST(TraceReplay, ShardedReplayMatchesShardedFiber) {
-  const std::string dir = scratch_dir("shard_fiber");
-  for (const auto& f : corpus_files()) {
-    const LitmusProgram prog = LitmusProgram::parse_file(f);
-    if (!schedule_independent(prog)) continue;
-    for (auto kind : kAllFive) {
-      const std::string cell =
-          dir + "/" + prog.name + "_" + std::string(core::to_string(kind));
-      LitmusRunOptions cap;
-      cap.seed = 1;
-      cap.capture_dir = cell;
-      run_litmus(prog, kind, cap);
-
-      LitmusRunOptions fib4;
-      fib4.seed = 1;
-      fib4.shards = 4;
-      const std::uint64_t fiber = litmus_digest(prog, kind, fib4);
-
-      LitmusRunOptions rep4;
-      rep4.shards = 4;
-      rep4.replay_dir = cell;
-      const std::uint64_t replay = litmus_digest(prog, kind, rep4);
-      EXPECT_EQ(replay, fiber)
-          << prog.name << " / " << core::to_string(kind) << " shards=4";
-    }
-  }
-  std::filesystem::remove_all(dir);
-}
-
-// Replay at different shard counts is bit-identical for EVERY program —
-// the trace fixes the stream, so even schedule-dependent programs replay
-// deterministically.
-TEST(TraceReplay, ReplayShardCountInvariant) {
-  const std::string dir = scratch_dir("shard_inv");
-  for (const auto& f : corpus_files()) {
-    const LitmusProgram prog = LitmusProgram::parse_file(f);
-    for (auto kind : kAllFive) {
-      const std::string cell =
-          dir + "/" + prog.name + "_" + std::string(core::to_string(kind));
-      LitmusRunOptions cap;
-      cap.seed = 2;
-      cap.capture_dir = cell;
-      run_litmus(prog, kind, cap);
-
-      LitmusRunOptions rep;
-      rep.replay_dir = cell;
-      rep.shards = 1;
-      const std::uint64_t one = litmus_digest(prog, kind, rep);
-      rep.shards = 4;
-      const std::uint64_t four = litmus_digest(prog, kind, rep);
-      EXPECT_EQ(one, four) << prog.name << " / " << core::to_string(kind);
-    }
-  }
-  std::filesystem::remove_all(dir);
-}
-
-// The fig4 workload at full machine width: fft on 64 processors.
+// The fig4 workload at full machine width: fft on 64 processors, replayed
+// one cell at a time and then with both cells on --jobs worker threads.
 TEST(TraceReplay, Fft64RoundTrip) {
   const std::string dir = scratch_dir("fft64");
   bench::Options opt;
@@ -196,17 +118,31 @@ TEST(TraceReplay, Fft64RoundTrip) {
   opt.apps = {"fft"};
   opt.validate = false;
   const auto* app = bench::selected_apps(opt).front();
-  for (auto kind : {ProtocolKind::kSC, ProtocolKind::kLRC}) {
+  const ProtocolKind kinds[] = {ProtocolKind::kSC, ProtocolKind::kLRC};
+  std::vector<bench::Experiment> cells;
+  std::vector<std::uint64_t> fiber_digests;
+  for (auto kind : kinds) {
     auto cap = opt;
     cap.capture_dir = dir;
     const auto fiber = bench::run_app(*app, kind, cap);
+    fiber_digests.push_back(testutil::report_digest(fiber.report));
+    cells.push_back(bench::Experiment{app, kind});
 
     auto rep = opt;
     rep.replay_dir = dir;
     const auto replay = bench::run_app(*app, kind, rep);
-    EXPECT_EQ(testutil::report_digest(replay.report),
-              testutil::report_digest(fiber.report))
+    EXPECT_EQ(testutil::report_digest(replay.report), fiber_digests.back())
         << "fft / " << core::to_string(kind);
+  }
+
+  auto par = opt;
+  par.replay_dir = dir;
+  par.jobs = 4;
+  const auto replays = bench::run_experiments(cells, par);
+  ASSERT_EQ(replays.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(testutil::report_digest(replays[i].report), fiber_digests[i])
+        << "fft / " << core::to_string(cells[i].kind) << " under --jobs 4";
   }
   std::filesystem::remove_all(dir);
 }
