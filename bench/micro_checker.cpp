@@ -2,10 +2,7 @@
 // sync-heavy LRC workload simulated with the checker disabled (hooks
 // compiled in but null) and enabled (full value oracle + directory
 // invariants), reporting wall time for each and the slowdown factor.
-//
-// Only built when LRCSIM_CHECK is ON — bench builds without the flag carry
-// no checker code at all, which is the configuration the paper figures
-// run in.  Writes JSON to stdout and BENCH_checker_overhead.json.
+// Writes JSON to stdout and BENCH_checker_overhead.json.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -41,7 +38,7 @@ Outcome run_workload(ProtocolKind kind, unsigned iters, bool with_checker) {
   m.poke_mem<std::int64_t>(total.addr(0), 0);
 
   lrc::check::Checker* ck = nullptr;
-  if (with_checker) ck = m.enable_checker(/*strict=*/true);
+  if (with_checker) ck = &m.enable_checker(/*strict=*/true);
 
   const auto t0 = std::chrono::steady_clock::now();
   m.run([&](Cpu& cpu) {

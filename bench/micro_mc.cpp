@@ -6,8 +6,7 @@
 // redundant — and a drop in it flags a regression in the independence
 // relation or the FIFO filter.
 //
-// Only built when LRCSIM_CHECK is ON (exploration requires the per-path
-// oracle). Writes JSON to stdout and BENCH_mc_explore.json.
+// Writes JSON to stdout and BENCH_mc_explore.json.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

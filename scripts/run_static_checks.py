@@ -9,8 +9,8 @@ Default pipeline (all gating):
   3. Cross-validate the model against docs/PROTOCOL.md's tables.
   4. Determinism lint (pass 2) over src/ — fails on any unannotated finding.
   5. Static-vs-dynamic coverage report against --observed (informational,
-     never fails the run; the file is produced by LRCSIM_CHECK litmus runs
-     with LRCSIM_TRANSITION_LOG set — see docs/STATIC.md).
+     never fails the run; the file is produced by litmus runs with
+     LRCSIM_TRANSITION_LOG set — see docs/STATIC.md).
 
 --self-test proves the analyzer can actually catch what it claims to:
   * every fixture under tests/static/fixtures/ must produce exactly the

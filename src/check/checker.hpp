@@ -1,4 +1,4 @@
-// Runtime consistency checker (build with -DLRCSIM_CHECK=ON).
+// Runtime consistency checker, opt-in per Machine via enable_checker().
 //
 // Three layers, all driven by hooks the simulator fires in host execution
 // order (which the protocols guarantee matches the simulated happens-before
@@ -51,7 +51,7 @@ class ProtocolBase;
 namespace lrc::check {
 
 /// Deliberate protocol bugs for negative tests: the checker must catch
-/// every mutation. Consulted by the protocols only in LRCSIM_CHECK builds.
+/// every mutation. Default runs leave it at kNone.
 enum class Mutation : std::uint8_t {
   kNone,
   /// LRC/LRC-ext: drop buffered write notices instead of invalidating at

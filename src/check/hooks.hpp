@@ -1,26 +1,14 @@
-// Compile-time-gated checker hooks. In LRCSIM_CHECK builds each hook is a
-// null-guarded virtual-free call into the machine's Checker (if enabled);
-// in default builds the macro expands to nothing, so bench binaries carry
-// zero checking code on the hot paths.
+// Checker hooks. Each hook is a null-guarded call into the machine's
+// Checker; with no checker enabled (the default) it costs one pointer test.
 //
 //   LRCSIM_HOOK(machine, on_read(p, a, bytes));
 #pragma once
 
-#ifdef LRCSIM_CHECK
-
 #include "check/checker.hpp"
 
-#define LRCSIM_HOOK(m, call)                           \
-  do {                                                 \
-    if (auto* lrcsim_ck_ = (m).checker()) {            \
-      lrcsim_ck_->call;                                \
-    }                                                  \
+#define LRCSIM_HOOK(m, call)                \
+  do {                                      \
+    if (auto* lrcsim_ck_ = (m).checker()) { \
+      lrcsim_ck_->call;                     \
+    }                                       \
   } while (0)
-
-#else
-
-#define LRCSIM_HOOK(m, call) \
-  do {                       \
-  } while (0)
-
-#endif

@@ -345,13 +345,11 @@ LitmusResult run_litmus(const LitmusProgram& prog, core::ProtocolKind kind,
   LitmusResult res;
   res.regs.assign(kNumRegs, 0);
 
-#ifdef LRCSIM_CHECK
   // Non-strict: litmus results are evaluated by the caller; collect rather
   // than throw so a violating run still reports its outcome. Replay skips
   // the checker: it needs the fiber front end (Machine::run rejects the
   // combination).
-  check::Checker* ck = replay ? nullptr : m.enable_checker(/*strict=*/false);
-#endif
+  check::Checker* ck = replay ? nullptr : &m.enable_checker(/*strict=*/false);
 
   std::unique_ptr<trace::CaptureLog> capture;
   if (!opts.capture_dir.empty()) {
@@ -437,13 +435,11 @@ LitmusResult run_litmus(const LitmusProgram& prog, core::ProtocolKind kind,
 
   if (capture) capture->finish();
 
-#ifdef LRCSIM_CHECK
   if (ck != nullptr) {
     res.checker_active = true;
     res.violations = ck->violations();
     res.races = ck->races();
   }
-#endif
 
   if (opts.post_run) opts.post_run(m);
 

@@ -96,8 +96,8 @@ struct LitmusResult {
   std::vector<std::int64_t> regs;
   std::map<SyncId, std::vector<NodeId>> lock_order;  // grant order per lock
   std::vector<std::string> failures;    // violated forbid/require conditions
-  std::vector<std::string> violations;  // checker violations (LRCSIM_CHECK)
-  std::uint64_t races = 0;              // checker race count (LRCSIM_CHECK)
+  std::vector<std::string> violations;  // checker violations
+  std::uint64_t races = 0;              // checker race count
   bool checker_active = false;
   bool passed() const { return failures.empty() && violations.empty(); }
 };
@@ -138,9 +138,8 @@ struct LitmusRunOptions {
 
 /// Runs the program on a fresh test_scale Machine under `kind`. `seed`
 /// varies per-processor start/inter-op jitter so repeated runs explore
-/// different interleavings. When the library is built with LRCSIM_CHECK,
-/// the consistency checker is enabled (non-strict) and its findings are
-/// copied into the result.
+/// different interleavings. The consistency checker is enabled
+/// (non-strict) and its findings are copied into the result.
 LitmusResult run_litmus(const LitmusProgram& prog, core::ProtocolKind kind,
                         std::uint64_t seed);
 

@@ -67,15 +67,11 @@ Machine::~Machine() {
   engine_.drop_pending();
 }
 
-check::Checker* Machine::enable_checker(bool strict) {
-#ifdef LRCSIM_CHECK
+check::Checker& Machine::enable_checker(bool strict) {
   if (!checker_) {
     checker_ = std::make_unique<check::Checker>(*this, strict);
   }
-#else
-  (void)strict;  // compiled out: hooks are no-ops, a checker would see nothing
-#endif
-  return checker_.get();
+  return *checker_;
 }
 
 Addr Machine::alloc_bytes(std::size_t bytes, std::string name) {
@@ -183,14 +179,12 @@ void Machine::run(std::function<void(Cpu&)> body) {
   if (!stuck.empty()) {
     throw std::runtime_error("deadlock: no pending events but" + stuck);
   }
-#ifdef LRCSIM_CHECK
   // Engine stopped; this is normal (non-fiber) context, so strict mode may
   // safely throw collected violations here.
   if (checker_) {
     checker_->final_check();
     checker_->throw_if_violations();
   }
-#endif
 }
 
 Report Machine::report() const {

@@ -136,12 +136,11 @@ class Machine {
   void set_access_log(AccessLog* log) { access_log_ = log; }
   AccessLog* access_log() const { return access_log_; }
 
-  /// Enables the runtime consistency checker (docs/CHECKER.md). Only
-  /// available in LRCSIM_CHECK builds — returns nullptr when the checker is
-  /// compiled out, so callers can skip. Call before run(). In strict mode
-  /// run() throws check::ViolationError after the engine stops if any
-  /// violation was recorded.
-  check::Checker* enable_checker(bool strict = true);
+  /// Enables the runtime consistency checker (docs/CHECKER.md) and returns
+  /// it; a second call returns the same checker. Call before run(). In
+  /// strict mode run() throws check::ViolationError after the engine stops
+  /// if any violation was recorded.
+  check::Checker& enable_checker(bool strict = true);
   check::Checker* checker() { return checker_.get(); }
 
   NodeId home_of_line(LineId l) { return amap_.home_of_line(l); }

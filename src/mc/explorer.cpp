@@ -255,9 +255,7 @@ class RunChooser final : public sim::ScheduleArbiter {
 
 // Backtrack: advance the deepest frame that still has an unexplored,
 // non-sleeping choice; pop exhausted frames. Returns false when the whole
-// tree has been explored. Only explore() calls these two, and its body is
-// compiled out without LRCSIM_CHECK.
-#ifdef LRCSIM_CHECK
+// tree has been explored.
 bool advance(std::vector<Frame>& frames, const ExploreOptions& opts) {
   while (!frames.empty()) {
     Frame& f = frames.back();
@@ -290,7 +288,6 @@ std::vector<Decision> trace_of(const std::vector<Frame>& frames) {
   for (const Frame& f : frames) t.push_back(f.dec);
   return t;
 }
-#endif  // LRCSIM_CHECK
 
 // Forced-choice chooser for replay: decision k takes choices[k] (0 beyond
 // the vector), recording what it saw.
@@ -367,14 +364,6 @@ class ReplayChooser final : public sim::ScheduleArbiter {
 
 ExploreResult explore(const check::LitmusProgram& prog,
                       core::ProtocolKind kind, const ExploreOptions& opts) {
-#ifndef LRCSIM_CHECK
-  (void)prog;
-  (void)kind;
-  (void)opts;
-  throw std::logic_error(
-      "mc::explore requires an LRCSIM_CHECK build: the per-path consistency "
-      "oracle is compiled out");
-#else
   ExploreResult res;
   std::vector<Frame> frames;
   bool budget_hit = false;
@@ -439,7 +428,6 @@ ExploreResult explore(const check::LitmusProgram& prog,
     }
   }
   return res;
-#endif
 }
 
 check::LitmusResult replay(const check::LitmusProgram& prog,

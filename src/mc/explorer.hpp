@@ -2,7 +2,7 @@
 // (docs/MODELCHECK.md). For a 2-4 thread litmus program under one protocol
 // it enumerates every resolution of the engine's same-cycle event ties
 // (plus, optionally, bounded sync-arrival delays), re-running the program
-// from scratch per schedule with the LRCSIM_CHECK consistency oracle and
+// from scratch per schedule with the consistency checker's oracle and
 // directory invariants active, and reports every schedule whose run
 // violates the oracle, a directory invariant, or the program's
 // forbid/require conditions.
@@ -10,8 +10,6 @@
 // The search is a stateless DFS over choice prefixes with sleep-set
 // partial-order reduction: independent tie candidates (disjoint node
 // footprints, known via Event::mc_actor) are not explored in both orders.
-// Exploration requires an LRCSIM_CHECK build (the per-path oracle is the
-// point); explore() throws std::logic_error otherwise.
 #pragma once
 
 #include <cstdint>

@@ -59,10 +59,8 @@ Nic::Nic(sim::Engine& engine, const Topology& topo, NicParams params)
       params_(params),
       out_free_(topo.nodes(), 0),
       in_free_(topo.nodes(), 0),
+      tie_mark_(topo.nodes()),
       stats_(topo.nodes()) {
-#ifdef LRCSIM_CHECK
-  tie_mark_.resize(topo.nodes());
-#endif
   static_assert(sizeof(Arrival) <= sim::Engine::kMaxPooledBytes,
                 "Arrival must fit a pool slot; shrink kCapacity");
   static_assert(sizeof(Delivery) <= sim::Engine::kMaxPooledBytes);
@@ -137,7 +135,6 @@ NicStats Nic::stats() const {
 
 void Nic::arbitrate_sink(const Message& msg, Cycle t) {
   Message m = msg;
-#ifdef LRCSIM_CHECK
   // Same-cycle arrival-race watermark (see Message::tie_inverted). The
   // engine fires equal-time arrival events in ascending seq order, so in
   // ordinary runs same-cycle calls here carry non-decreasing current_seq()
@@ -152,7 +149,6 @@ void Nic::arbitrate_sink(const Message& msg, Cycle t) {
     tm.cycle = t;
     tm.max_seq = seq;
   }
-#endif
   // Sink endpoint: serialize deliveries. The current message is delivered at
   // max(arrival, sink-free); subsequent deliveries wait behind its occupancy.
   const Cycle deliver_at = std::max(t, in_free_[msg.dst]);

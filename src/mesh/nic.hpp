@@ -105,13 +105,11 @@ class Nic {
   std::vector<Cycle> in_free_;   // sink-endpoint next-free time
   Arrival* pending_arrival_ = nullptr;  // batching candidate; see send()
   bool batching_ = true;                // see set_batching()
-#ifdef LRCSIM_CHECK
   struct TieMark {  // per-sink same-cycle arrival seq watermark
     Cycle cycle = static_cast<Cycle>(-1);
     std::uint64_t max_seq = 0;
   };
   std::vector<TieMark> tie_mark_;
-#endif
   std::vector<NicStats> stats_;  // per node; see node_stats()
 };
 

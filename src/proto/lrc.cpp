@@ -156,13 +156,11 @@ CpuOp Lrc::cpu_write(core::Cpu& cpu, Addr a, std::uint32_t bytes) {
 Cycle Lrc::apply_invals(NodeId p, Cycle at) {
   auto& set = pending_inval_[p];
   if (set.empty()) return at;
-#ifdef LRCSIM_CHECK
   // Negative-test mutation: drop the buffered notices instead of applying
   // them. The value oracle must catch the resulting stale reads.
   if (check::active_mutation() == check::Mutation::kSkipAcquireInvalidation) {
     return at;
   }
-#endif
   const Cycle cost = set.size() * params().write_notice_cost;
   const Cycle start = m_.pp_claim(p, at, cost);
   const Cycle done = start + cost;
@@ -409,7 +407,9 @@ Cycle Lrc::home_notice_ack(const Message& msg, Cycle start) {
   e.collections.erase_if(dir_.col_pool(), [&](DirEntry::NoticeCollection& c) {
     if (--c.remaining != 0) return false;
     send(start + cost, MsgKind::kWriteAck, home, c.writer, msg.line, 0, tag);
-    if (tag & kTagWeak) e.notified |= proc_bit(c.writer);
+    // The writer may have left the sharers (membership update) while its
+    // notices were out; notified must stay a subset of sharers.
+    if (tag & kTagWeak) e.notified |= proc_bit(c.writer) & e.sharers;
     return true;
   });
   return cost;
@@ -421,7 +421,6 @@ Cycle Lrc::home_membership_update(const Message& msg, Cycle /*start*/) {
   e.sharers &= ~proc_bit(p);
   e.writers &= ~proc_bit(p);
   e.notified &= ~proc_bit(p);
-#ifdef LRCSIM_CHECK
   // Schedule-dependent negative-test mutation: a membership update that
   // lost a same-cycle arrival race skips the state recomputation, leaving
   // the entry's state field inconsistent with its masks.
@@ -429,7 +428,6 @@ Cycle Lrc::home_membership_update(const Message& msg, Cycle /*start*/) {
                               check::Mutation::kTieSkipMembershipRecompute) {
     return params().dir_update_cost;
   }
-#endif
   e.recompute_lrc_state();
   return params().dir_update_cost;
 }
@@ -448,13 +446,10 @@ Cycle Lrc::node_write_notice(const Message& msg, Cycle start) {
   const Cycle cost = params().write_notice_cost;
   const bool buffer_inval =
       m_.cpu(p).dcache().find(msg.line) != nullptr
-#ifdef LRCSIM_CHECK
       // Schedule-dependent negative-test mutation: a notice that lost a
       // same-cycle arrival race is acked but its invalidation is dropped.
       && !(msg.tie_inverted && check::active_mutation() ==
-                                   check::Mutation::kTieDropWriteNotice)
-#endif
-      ;
+                                   check::Mutation::kTieDropWriteNotice);
   if (buffer_inval) {
     pending_inval_[p].insert(msg.line);
   }

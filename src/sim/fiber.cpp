@@ -78,17 +78,10 @@ Fiber::Fiber(std::function<void()> fn, std::size_t stack_bytes)
 #endif
 }
 
-Fiber::~Fiber() {
-#ifdef LRC_FIBER_TSAN
-  __tsan_destroy_fiber(tsan_fiber_);
-#endif
-}
-
 void Fiber::trampoline() {
   Fiber* self = g_current;
   assert(self != nullptr);
-  self->fn_();
-  self->finished_ = true;
+  self->run_fn();
   // Dying switch back to the caller; never returns (ctx_sp_ is dead).
 #ifdef LRC_FIBER_TSAN
   __tsan_switch_to_fiber(self->tsan_caller_, 0);
@@ -122,6 +115,7 @@ void Fiber::yield() {
 #endif
   lrc_fiber_switch(&self->ctx_sp_, self->caller_sp_);
   g_current = self;
+  if (self->unwinding_) throw Unwind{};
 }
 
 #else  // ucontext fallback (non-x86-64, or AddressSanitizer builds)
@@ -140,14 +134,6 @@ Fiber::Fiber(std::function<void()> fn, std::size_t stack_bytes)
 #endif
 }
 
-Fiber::~Fiber() {
-  // A fiber destroyed while suspended simply abandons its stack; the
-  // engine guarantees all program fibers run to completion before teardown.
-#ifdef LRC_FIBER_TSAN
-  __tsan_destroy_fiber(tsan_fiber_);
-#endif
-}
-
 void Fiber::trampoline() {
   Fiber* self = g_current;
   assert(self != nullptr);
@@ -157,8 +143,7 @@ void Fiber::trampoline() {
   __sanitizer_finish_switch_fiber(nullptr, &self->asan_caller_stack_,
                                   &self->asan_caller_size_);
 #endif
-  self->fn_();
-  self->finished_ = true;
+  self->run_fn();
 #ifdef LRC_FIBER_ASAN
   // Dying switch back to the caller; nullptr releases this fiber's fake
   // stack.
@@ -211,9 +196,29 @@ void Fiber::yield() {
                                   &self->asan_caller_size_);
 #endif
   g_current = self;
+  if (self->unwinding_) throw Unwind{};
 }
 
 #endif  // LRC_FIBER_FAST_SWITCH
+
+Fiber::~Fiber() {
+  if (started_ && !finished_) {
+    unwinding_ = true;
+    resume();
+  }
+#ifdef LRC_FIBER_TSAN
+  __tsan_destroy_fiber(tsan_fiber_);
+#endif
+}
+
+void Fiber::run_fn() {
+  try {
+    fn_();
+  } catch (const Unwind&) {
+    // ~Fiber unwound the stack; nothing past the yield point runs.
+  }
+  finished_ = true;
+}
 
 Fiber* Fiber::current() { return g_current; }
 

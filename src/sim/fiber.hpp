@@ -55,6 +55,12 @@ class Fiber {
  public:
   /// Creates a suspended fiber that will run `fn` when first resumed.
   explicit Fiber(std::function<void()> fn, std::size_t stack_bytes = 256 * 1024);
+
+  /// A fiber destroyed while suspended mid-body (its run abandoned, e.g. an
+  /// explorer path cut short) is resumed once more and unwinds from its
+  /// yield point, so the objects on its stack — protocol op coroutine
+  /// frames among them — are destroyed instead of leaked. Must be called
+  /// from the main context.
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -76,6 +82,12 @@ class Fiber {
  private:
   static void trampoline();
 
+  /// Runs fn_ to completion or until ~Fiber's Unwind reaches it, then
+  /// marks the fiber finished.
+  void run_fn();
+
+  struct Unwind {};  // thrown from yield() into a fiber being destroyed
+
   std::function<void()> fn_;
   std::vector<char> stack_;
 #ifdef LRC_FIBER_FAST_SWITCH
@@ -87,6 +99,7 @@ class Fiber {
 #endif
   bool started_ = false;
   bool finished_ = false;
+  bool unwinding_ = false;  // set by ~Fiber; yield() then throws Unwind
 
   // AddressSanitizer fiber bookkeeping (unused in plain builds): this
   // fiber's fake-stack handle and the caller stack bounds for yields back.

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "apps/app.hpp"
+#include "check/checker.hpp"
 #include "core/machine.hpp"
+#include "report_digest.hpp"
 
 namespace lrc::apps {
 namespace {
@@ -44,6 +46,30 @@ TEST_P(AppRun, ValidatesAtTestScale) {
   const auto r = m.report();
   EXPECT_GT(r.execution_time, 0u);
   EXPECT_GT(r.cache.references(), 0u);
+}
+
+// The checker observes and never steers: enabling it must leave every
+// counter of the run unchanged, and a correct protocol running a real
+// application must give it nothing to report (directory invariants
+// included, e.g. notified being a subset of sharers).
+TEST_P(AppRun, CheckerCleanAndDigestNeutral) {
+  const auto* info = find_app(GetParam().app);
+  ASSERT_NE(info, nullptr);
+  auto run = [&](bool with_checker) {
+    core::Machine m(core::SystemParams::test_scale(8), GetParam().kind);
+    AppConfig cfg;
+    cfg.n = info->test_n;
+    cfg.steps = info->test_steps;
+    const check::Checker* ck =
+        with_checker ? &m.enable_checker(/*strict=*/false) : nullptr;
+    info->run(m, cfg);
+    if (ck != nullptr && !ck->violations().empty()) {
+      ADD_FAILURE() << ck->violations().size()
+                    << " violation(s), first: " << ck->violations().front();
+    }
+    return testutil::report_digest(m.report());
+  };
+  EXPECT_EQ(run(false), run(true));
 }
 
 std::vector<Case> all_cases() {

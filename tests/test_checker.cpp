@@ -1,6 +1,6 @@
-// Consistency-checker tests (docs/CHECKER.md). The oracle itself only
-// exists in LRCSIM_CHECK builds; in default builds these tests verify the
-// checker is genuinely compiled out and skip the rest.
+// Consistency-checker tests (docs/CHECKER.md): the value oracle, race
+// counting, a deliberate protocol mutation the oracle must catch, and
+// strict mode.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,16 +19,6 @@ constexpr ProtocolKind kAllKinds[] = {ProtocolKind::kSC, ProtocolKind::kERC,
                                       ProtocolKind::kERCWT, ProtocolKind::kLRC,
                                       ProtocolKind::kLRCExt};
 
-#ifndef LRCSIM_CHECK
-
-TEST(Checker, CompiledOutInDefaultBuilds) {
-  Machine m(SystemParams::test_scale(2), ProtocolKind::kLRC);
-  EXPECT_EQ(m.enable_checker(), nullptr)
-      << "default builds must carry no checker (bench bit-identity)";
-}
-
-#else  // LRCSIM_CHECK
-
 // A deliberately DRF workload: private-slice writes, barrier, neighbor
 // reads, barrier, lock-protected counter, barrier, verified totals. The
 // checker must stay silent (strict mode) and count zero races.
@@ -41,8 +31,7 @@ void run_drf_workload(ProtocolKind kind) {
   auto counter = m.alloc<std::int64_t>(1, "counter");
   m.poke_mem<std::int64_t>(counter.addr(0), 0);
 
-  auto* ck = m.enable_checker(/*strict=*/true);
-  ASSERT_NE(ck, nullptr);
+  auto& ck = m.enable_checker(/*strict=*/true);
 
   m.run([&](Cpu& cpu) {
     const unsigned p = cpu.id();
@@ -70,10 +59,10 @@ void run_drf_workload(ProtocolKind kind) {
     }
   });
 
-  EXPECT_TRUE(ck->violations().empty());
-  EXPECT_EQ(ck->races(), 0u) << "DRF workload must show no races";
-  EXPECT_GT(ck->reads_checked(), 0u);
-  EXPECT_GT(ck->writes_tracked(), 0u);
+  EXPECT_TRUE(ck.violations().empty());
+  EXPECT_EQ(ck.races(), 0u) << "DRF workload must show no races";
+  EXPECT_GT(ck.reads_checked(), 0u);
+  EXPECT_GT(ck.writes_tracked(), 0u);
 }
 
 TEST(Checker, DrfWorkloadCleanUnderAllProtocols) {
@@ -87,16 +76,15 @@ TEST(Checker, RacesCountedNotViolated) {
     SCOPED_TRACE(std::string(to_string(kind)));
     Machine m(SystemParams::test_scale(2), kind);
     auto x = m.alloc<std::int64_t>(1, "x");
-    auto* ck = m.enable_checker(/*strict=*/true);
-    ASSERT_NE(ck, nullptr);
+    auto& ck = m.enable_checker(/*strict=*/true);
     m.run([&](Cpu& cpu) {
       for (int i = 0; i < 200; ++i) {
         x.put(cpu, 0, cpu.id() * 1000 + i);
         (void)x.get(cpu, 0);
       }
     });
-    EXPECT_TRUE(ck->violations().empty());
-    EXPECT_GT(ck->races(), 0u);
+    EXPECT_TRUE(ck.violations().empty());
+    EXPECT_GT(ck.races(), 0u);
   }
 }
 
@@ -130,13 +118,12 @@ TEST(Checker, SkippedAcquireInvalidationIsCaught) {
         lrc::check::Mutation::kSkipAcquireInvalidation);
     Machine m(SystemParams::test_scale(2), kind);
     auto x = m.alloc<std::int64_t>(1, "x");
-    auto* ck = m.enable_checker(/*strict=*/false);
-    ASSERT_NE(ck, nullptr);
+    auto& ck = m.enable_checker(/*strict=*/false);
     run_mutation_program(m, x);
-    ASSERT_FALSE(ck->violations().empty())
+    ASSERT_FALSE(ck.violations().empty())
         << "oracle missed the skipped acquire invalidation";
-    EXPECT_NE(ck->violations()[0].find("stale read"), std::string::npos)
-        << ck->violations()[0];
+    EXPECT_NE(ck.violations()[0].find("stale read"), std::string::npos)
+        << ck.violations()[0];
   }
 }
 
@@ -145,11 +132,10 @@ TEST(Checker, SameProgramCleanWithoutMutation) {
     SCOPED_TRACE(std::string(to_string(kind)));
     Machine m(SystemParams::test_scale(2), kind);
     auto x = m.alloc<std::int64_t>(1, "x");
-    auto* ck = m.enable_checker(/*strict=*/true);
-    ASSERT_NE(ck, nullptr);
+    auto& ck = m.enable_checker(/*strict=*/true);
     run_mutation_program(m, x);
-    EXPECT_TRUE(ck->violations().empty());
-    EXPECT_EQ(ck->races(), 0u);
+    EXPECT_TRUE(ck.violations().empty());
+    EXPECT_EQ(ck.races(), 0u);
   }
 }
 
@@ -158,10 +144,8 @@ TEST(Checker, StrictModeThrowsViolationError) {
       lrc::check::Mutation::kSkipAcquireInvalidation);
   Machine m(SystemParams::test_scale(2), ProtocolKind::kLRC);
   auto x = m.alloc<std::int64_t>(1, "x");
-  ASSERT_NE(m.enable_checker(/*strict=*/true), nullptr);
+  m.enable_checker(/*strict=*/true);
   EXPECT_THROW(run_mutation_program(m, x), lrc::check::ViolationError);
 }
-
-#endif  // LRCSIM_CHECK
 
 }  // namespace

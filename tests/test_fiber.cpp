@@ -102,5 +102,33 @@ TEST(Fiber, NestedFunctionCanYield) {
   EXPECT_TRUE(f.finished());
 }
 
+// A run abandoned mid-flight destroys its fibers while they are suspended;
+// the objects on their stacks must still be destroyed (no leak), and no
+// code past the yield point may run.
+TEST(Fiber, DestroyedWhileSuspendedUnwindsItsStack) {
+  struct Sentinel {
+    int* destroyed;
+    ~Sentinel() { ++*destroyed; }
+  };
+  int destroyed = 0;
+  bool ran_past_yield = false;
+  {
+    Fiber f([&] {
+      Sentinel s{&destroyed};
+      auto owned = std::make_unique<int>(7);
+      Fiber::yield();
+      ran_past_yield = true;
+    });
+    f.resume();
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_FALSE(ran_past_yield);
+
+  // A fiber never started, or already finished, is destroyed as before.
+  { Fiber unstarted([&] { ran_past_yield = true; }); }
+  EXPECT_FALSE(ran_past_yield);
+}
+
 }  // namespace
 }  // namespace lrc::sim

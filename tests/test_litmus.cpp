@@ -1,8 +1,8 @@
 // Runs every tests/litmus/*.litmus program under all five protocols with a
 // few jitter seeds and checks the observed outcome against the program's
-// forbid/require conditions. In LRCSIM_CHECK builds the consistency
-// checker also runs: no program may produce violations, and programs
-// marked `expect drf` must show zero detected races.
+// forbid/require conditions. The consistency checker runs alongside: no
+// program may produce violations, and programs marked `expect drf` must
+// show zero detected races.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,17 +43,15 @@ void run_all_under(ProtocolKind kind) {
       for (const auto& f : res.failures) {
         ADD_FAILURE() << f << " (seed " << seed << ")";
       }
-      if (res.checker_active) {
-        for (const auto& v : res.violations) {
-          ADD_FAILURE() << prog.name << " under "
-                        << lrc::core::to_string(kind) << " (seed " << seed
-                        << "): checker violation: " << v;
-        }
-        if (prog.expect_drf) {
-          EXPECT_EQ(res.races, 0u)
-              << prog.name << " is declared DRF but the checker counted "
-              << res.races << " race(s) under " << lrc::core::to_string(kind);
-        }
+      EXPECT_TRUE(res.checker_active);
+      for (const auto& v : res.violations) {
+        ADD_FAILURE() << prog.name << " under " << lrc::core::to_string(kind)
+                      << " (seed " << seed << "): checker violation: " << v;
+      }
+      if (prog.expect_drf) {
+        EXPECT_EQ(res.races, 0u)
+            << prog.name << " is declared DRF but the checker counted "
+            << res.races << " race(s) under " << lrc::core::to_string(kind);
       }
     }
   }
@@ -67,9 +65,9 @@ TEST(Litmus, LRCExt) { run_all_under(ProtocolKind::kLRCExt); }
 
 // The consistency obligations must hold for every cache geometry, not just
 // the default single L1: the whole corpus re-runs under 2-level private
-// stacks (both inclusion policies) for all five protocols. In LRCSIM_CHECK
-// builds the checker additionally asserts the inclusion/exclusion contract
-// after every handled message and at end of run.
+// stacks (both inclusion policies) for all five protocols. The checker
+// additionally asserts the inclusion/exclusion contract after every handled
+// message and at end of run.
 void run_all_under_hier(const lrc::cache::CacheConfig& cfg) {
   const auto files = litmus_files();
   ASSERT_GE(files.size(), 12u) << "litmus corpus went missing";
@@ -82,12 +80,11 @@ void run_all_under_hier(const lrc::cache::CacheConfig& cfg) {
           ADD_FAILURE() << f << " (hier, " << lrc::core::to_string(kind)
                         << ", seed " << seed << ")";
         }
-        if (res.checker_active) {
-          for (const auto& v : res.violations) {
-            ADD_FAILURE() << prog.name << " under "
-                          << lrc::core::to_string(kind) << " (hier, seed "
-                          << seed << "): checker violation: " << v;
-          }
+        EXPECT_TRUE(res.checker_active);
+        for (const auto& v : res.violations) {
+          ADD_FAILURE() << prog.name << " under "
+                        << lrc::core::to_string(kind) << " (hier, seed "
+                        << seed << "): checker violation: " << v;
         }
       }
     }

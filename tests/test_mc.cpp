@@ -1,8 +1,8 @@
 // Schedule-explorer tests (src/mc/, docs/MODELCHECK.md): the engine's
 // arbiter hook, explorer exhaustiveness and determinism, sleep-set
-// reduction soundness, and — in LRCSIM_CHECK builds — the pinned
-// counterexamples for the two schedule-dependent protocol mutations that
-// per-seed litmus runs provably miss.
+// reduction soundness, and the pinned counterexamples for the two
+// schedule-dependent protocol mutations that per-seed litmus runs provably
+// miss.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -102,8 +102,6 @@ TEST(ScheduleArbiter, DefaultPickMatchesSeqOrder) {
 LitmusProgram parse(const std::string& text, const char* name) {
   return LitmusProgram::parse(text, name);
 }
-
-#ifdef LRCSIM_CHECK
 
 TEST(McExplore, OnlyMandatoryStartTieYieldsTwoSchedules) {
   // The DSL floor is two processors, whose fibers are co-enabled at t=0 —
@@ -299,15 +297,5 @@ TEST(McExplore, ExploredTraceReplaysIdentically) {
     }
   }
 }
-
-#else  // !LRCSIM_CHECK
-
-TEST(McExplore, RequiresCheckBuild) {
-  const auto prog = parse("procs 2\nvars x\nP0: W x 1\nP1: R x r0\n", "solo");
-  EXPECT_THROW(lrc::mc::explore(prog, ProtocolKind::kLRC, ExploreOptions{}),
-               std::logic_error);
-}
-
-#endif  // LRCSIM_CHECK
 
 }  // namespace
