@@ -6,7 +6,7 @@
 #include "bench/harness.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_figure(int argc, char** argv) {
   using namespace lrc;
   auto opt = bench::Options::parse(argc, argv);
   if (opt.apps.empty()) opt.apps = {"blu", "mp3d"};
@@ -65,4 +65,8 @@ int main(int argc, char** argv) {
               "paper's configuration is CB=16):\n%s\n",
               cb_table.to_string().c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lrc::bench::run_main(argc, argv, run_figure);
 }

@@ -11,7 +11,7 @@
 #include "bench/harness.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_figure(int argc, char** argv) {
   using namespace lrc;
   auto opt = bench::Options::parse(argc, argv);
   if (opt.apps.empty()) opt.apps = {"locusroute", "mp3d"};
@@ -54,4 +54,8 @@ int main(int argc, char** argv) {
       "data (quality approaches the eager reference), per the paper's "
       "remedy.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lrc::bench::run_main(argc, argv, run_figure);
 }

@@ -10,7 +10,7 @@
 #include "bench/harness.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_figure(int argc, char** argv) {
   using namespace lrc;
   auto opt = bench::Options::parse(argc, argv);
   if (opt.apps.empty()) opt.apps = {"barnes", "cholesky", "locusroute", "mp3d"};
@@ -50,4 +50,8 @@ int main(int argc, char** argv) {
       "Expected: disabling the overlap moves notice processing into the\n"
       "acquire's critical path, inflating synchronization time.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lrc::bench::run_main(argc, argv, run_figure);
 }

@@ -12,7 +12,7 @@
 #include "bench/harness.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_figure(int argc, char** argv) {
   using namespace lrc;
   auto opt = bench::Options::parse(argc, argv);
   bench::print_header(opt, "Write-through data-path ablation (ERC vs ERC-WT)",
@@ -39,4 +39,8 @@ int main(int argc, char** argv) {
       "traffic without gaining laziness — the paper's argument that LRC's\n"
       "advantage is not merely its write policy.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lrc::bench::run_main(argc, argv, run_figure);
 }

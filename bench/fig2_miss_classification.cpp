@@ -10,7 +10,7 @@
 #include "bench/harness.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_figure(int argc, char** argv) {
   using namespace lrc;
   auto opt = bench::Options::parse(argc, argv);
   bench::print_header(opt, "Miss classification under eager RC",
@@ -40,4 +40,8 @@ int main(int argc, char** argv) {
       "Paper shape check: false-sharing significant for barnes/blu/"
       "locusroute/mp3d,\nnear zero for cholesky/fft/gauss.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lrc::bench::run_main(argc, argv, run_figure);
 }

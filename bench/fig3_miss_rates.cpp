@@ -8,7 +8,7 @@
 #include "bench/harness.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_figure(int argc, char** argv) {
   using namespace lrc;
   auto opt = bench::Options::parse(argc, argv);
   bench::print_header(opt, "Miss rates per protocol",
@@ -32,4 +32,8 @@ int main(int argc, char** argv) {
   std::printf(
       "Paper shape check: Lazy <= Eager for every app; Lazy-ext <= Lazy.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lrc::bench::run_main(argc, argv, run_figure);
 }

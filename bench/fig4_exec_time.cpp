@@ -10,7 +10,7 @@
 #include "bench/harness.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_figure(int argc, char** argv) {
   using namespace lrc;
   auto opt = bench::Options::parse(argc, argv);
   bench::print_header(opt, "Normalized execution time: LRC vs ERC vs SC",
@@ -41,4 +41,8 @@ int main(int argc, char** argv) {
       "sharing / migratory\ndata / pivot-row contention exist; roughly even "
       "on fft and cholesky.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lrc::bench::run_main(argc, argv, run_figure);
 }

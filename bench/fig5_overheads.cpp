@@ -10,7 +10,7 @@
 #include "bench/harness.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_figure(int argc, char** argv) {
   using namespace lrc;
   auto opt = bench::Options::parse(argc, argv);
   bench::print_header(opt, "Overhead analysis: LRC, ERC, SC",
@@ -47,4 +47,8 @@ int main(int argc, char** argv) {
       "app.\nPaper shape check: LRC trades higher sync for lower read+write "
       "overhead.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lrc::bench::run_main(argc, argv, run_figure);
 }

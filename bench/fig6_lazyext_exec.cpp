@@ -9,7 +9,7 @@
 #include "bench/harness.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_figure(int argc, char** argv) {
   using namespace lrc;
   auto opt = bench::Options::parse(argc, argv);
   bench::print_header(opt, "Normalized execution time: LRC vs LRC-ext",
@@ -39,4 +39,8 @@ int main(int argc, char** argv) {
       "hardware\n(positive ext penalty) except on fft — a qualitative "
       "difference from software DSM.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lrc::bench::run_main(argc, argv, run_figure);
 }

@@ -8,7 +8,7 @@
 #include "bench/harness.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_figure(int argc, char** argv) {
   using namespace lrc;
   auto opt = bench::Options::parse(argc, argv);
   bench::print_header(opt, "Overhead analysis: LRC, LRC-ext, SC",
@@ -44,4 +44,8 @@ int main(int argc, char** argv) {
       "Paper shape check: LRC-ext lowers the read component but inflates "
       "sync.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lrc::bench::run_main(argc, argv, run_figure);
 }

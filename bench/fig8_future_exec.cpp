@@ -10,7 +10,7 @@
 #include "bench/harness.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_figure(int argc, char** argv) {
   using namespace lrc;
   auto opt = bench::Options::parse(argc, argv);
   opt.future = true;
@@ -43,4 +43,8 @@ int main(int argc, char** argv) {
       "Paper shape check: the LRC advantage over ERC widens versus Figure 4 "
       "(by\n~2-6 percentage points in the paper; mp3d reaches ~23%%).\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lrc::bench::run_main(argc, argv, run_figure);
 }

@@ -9,7 +9,7 @@
 #include "bench/harness.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_figure(int argc, char** argv) {
   using namespace lrc;
   auto opt = bench::Options::parse(argc, argv);
   opt.future = true;
@@ -45,4 +45,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.to_string().c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lrc::bench::run_main(argc, argv, run_figure);
 }

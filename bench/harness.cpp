@@ -53,23 +53,20 @@ namespace {
   std::exit(2);
 }
 
-/// Parses the decimal value of numeric flag `flag`. Empty text, a sign,
-/// non-digits, trailing garbage and values outside [lo, hi] are usage
-/// errors that name the flag.
-std::uint64_t parse_uint(const char* prog, const std::string& flag,
-                         const std::string& text, std::uint64_t lo,
-                         std::uint64_t hi) {
-  std::uint64_t v = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (text.empty() || ec != std::errc{} || ptr != end || v < lo || v > hi) {
+/// Parses the value of numeric flag `flag`; a malformed value is a usage
+/// error that names the flag.
+std::uint64_t flag_uint(const char* prog, const std::string& flag,
+                        const std::string& text, std::uint64_t lo,
+                        std::uint64_t hi) {
+  const auto v = parse_uint(text, lo, hi);
+  if (!v) {
     std::fprintf(stderr, "%s: invalid value '%s' (expected %llu..%llu)\n",
                  flag.c_str(), text.c_str(),
                  static_cast<unsigned long long>(lo),
                  static_cast<unsigned long long>(hi));
     usage(prog);
   }
-  return v;
+  return *v;
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -84,6 +81,28 @@ std::vector<std::string> split_csv(const std::string& s) {
 
 }  // namespace
 
+std::optional<std::uint64_t> parse_uint(const std::string& text,
+                                        std::uint64_t lo, std::uint64_t hi) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || ptr != end || v < lo || v > hi) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "lrcsim",
+                 e.what());
+    return 2;
+  }
+}
+
 Options Options::parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
@@ -93,7 +112,7 @@ Options Options::parse(int argc, char** argv) {
       return argv[++i];
     };
     auto next_uint = [&](std::uint64_t lo, std::uint64_t hi) {
-      return parse_uint(argv[0], arg, next(), lo, hi);
+      return flag_uint(argv[0], arg, next(), lo, hi);
     };
     constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
     if (arg == "--procs") {

@@ -8,6 +8,8 @@
 //   paper  original §3 inputs, 128 KiB caches — slow on one host core
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,17 @@ struct Options {
   /// error.
   static Options parse(int argc, char** argv);
 };
+
+/// Decimal value of a numeric command-line flag: nullopt for empty text, a
+/// sign, non-digits, trailing garbage or a value outside [lo, hi].
+std::optional<std::uint64_t> parse_uint(const std::string& text,
+                                        std::uint64_t lo, std::uint64_t hi);
+
+/// The shared top level of every command-line program: runs `body` and
+/// turns an exception escaping it (a missing or corrupt trace, an invalid
+/// machine configuration) into `<argv[0]>: <message>` on stderr and exit
+/// status 2, the status of a usage error, instead of std::terminate.
+int run_main(int argc, char** argv, int (*body)(int, char**));
 
 /// Worker-thread count the options imply (>= 1; resolves jobs == 0).
 unsigned effective_jobs(const Options& opt);

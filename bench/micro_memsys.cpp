@@ -407,6 +407,14 @@ OpsMeasurement measure_hier_hit_path(std::uint64_t ops) {
   return m;
 }
 
+// Allocations of the second half of a doubled run. Signed: when the first
+// (half) run is the one that grows a thread-local pool, the doubled run
+// allocates less than it, and an unsigned difference would wrap around.
+double marginal_allocs(const SimTotals& half, const SimTotals& full) {
+  return static_cast<double>(static_cast<std::int64_t>(full.allocs) -
+                             static_cast<std::int64_t>(half.allocs));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -425,6 +433,7 @@ int main(int argc, char** argv) {
   double accesses_per_sec = 0.0;
   double allocs_per_access = 0.0;
   std::uint64_t sim_accesses = 0;
+  (void)run_sim(2 * iters);  // untimed: grows the thread-local pools
   for (int rep = 0; rep < 3; ++rep) {
     const SimTotals half = run_sim(iters);
     const SimTotals full = run_sim(2 * iters);
@@ -432,8 +441,7 @@ int main(int argc, char** argv) {
     const double aps = d_acc / (full.seconds - half.seconds);
     if (aps > accesses_per_sec) {
       accesses_per_sec = aps;
-      allocs_per_access =
-          static_cast<double>(full.allocs - half.allocs) / d_acc;
+      allocs_per_access = marginal_allocs(half, full) / d_acc;
       sim_accesses = full.accesses - half.accesses;
     }
   }
@@ -448,6 +456,7 @@ int main(int argc, char** argv) {
   double hier_allocs_per_access = 0.0;
   std::uint64_t hier_accesses = 0;
   const lrc::cache::CacheConfig hcfg = hier_config();
+  (void)run_sim(2 * iters, hcfg);  // untimed pool warm-up, as above
   for (int rep = 0; rep < 3; ++rep) {
     const SimTotals half = run_sim(iters, hcfg);
     const SimTotals full = run_sim(2 * iters, hcfg);
@@ -455,8 +464,7 @@ int main(int argc, char** argv) {
     const double aps = d_acc / (full.seconds - half.seconds);
     if (aps > hier_accesses_per_sec) {
       hier_accesses_per_sec = aps;
-      hier_allocs_per_access =
-          static_cast<double>(full.allocs - half.allocs) / d_acc;
+      hier_allocs_per_access = marginal_allocs(half, full) / d_acc;
       hier_accesses = full.accesses - half.accesses;
     }
   }

@@ -20,7 +20,7 @@ struct Config {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_figure(int argc, char** argv) {
   using namespace lrc;
   auto opt = bench::Options::parse(argc, argv);
   if (opt.apps.empty()) {
@@ -76,4 +76,8 @@ int main(int argc, char** argv) {
       "memory\nlatency (in cycles); it stays positive across "
       "latency/bandwidth combinations\nfor the false-sharing apps.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return lrc::bench::run_main(argc, argv, run_figure);
 }

@@ -3,13 +3,15 @@
 //
 //   $ ./build/examples/run_app mp3d LRC --procs 32 --n 2000
 #include <cstdio>
-#include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "apps/app.hpp"
+#include "bench/harness.hpp"
 #include "core/machine.hpp"
 
-int main(int argc, char** argv) {
+static int run_app(int argc, char** argv) {
   using namespace lrc;
   if (argc < 3) {
     std::fprintf(stderr,
@@ -49,19 +51,28 @@ int main(int argc, char** argv) {
   apps::AppConfig cfg;
   cfg.n = info->bench_n;
   cfg.steps = info->bench_steps;
+  constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() { return std::stoul(argv[++i]); };
+    // A missing or malformed value names the flag (exit 2 via run_main).
+    auto next = [&](std::uint64_t lo, std::uint64_t hi) {
+      const std::string text = i + 1 < argc ? argv[++i] : "";
+      if (const auto v = bench::parse_uint(text, lo, hi)) return *v;
+      throw std::invalid_argument(arg + ": invalid value '" + text +
+                                  "' (expected " + std::to_string(lo) +
+                                  ".." + std::to_string(hi) + ")");
+    };
     if (arg == "--procs") {
-      procs = static_cast<unsigned>(next());
+      procs = static_cast<unsigned>(next(1, kMaxProcs));
     } else if (arg == "--n") {
-      cfg.n = static_cast<unsigned>(next());
+      cfg.n = static_cast<unsigned>(next(0, kU32Max));
     } else if (arg == "--steps") {
-      cfg.steps = static_cast<unsigned>(next());
+      cfg.steps = static_cast<unsigned>(next(0, kU32Max));
     } else if (arg == "--seed") {
-      cfg.seed = next();
+      cfg.seed = next(0, std::numeric_limits<std::uint64_t>::max());
     } else if (arg == "--cache-kb") {
-      cache_kb = static_cast<std::uint32_t>(next());
+      // Bounded so the byte count fits cache_bytes' 32 bits.
+      cache_kb = static_cast<std::uint32_t>(next(1, kU32Max / 1024));
     } else if (arg == "--future") {
       future = true;
     } else {
@@ -79,4 +90,8 @@ int main(int argc, char** argv) {
   std::printf("%s\nvalidation: %s (%s)\n", r.summary().c_str(),
               res.valid ? "OK" : "FAILED", res.detail.c_str());
   return res.valid ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return lrc::bench::run_main(argc, argv, run_app);
 }

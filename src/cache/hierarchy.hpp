@@ -72,6 +72,10 @@ class Hierarchy {
     return const_cast<Hierarchy*>(this)->find(line);
   }
 
+  /// L1-only pure query: no recency update. Lets a write hit be recognised
+  /// before committing to lookup(), which an L2-resident line would mutate.
+  const CacheLine* l1_peek(LineId line) const { return l1_.find(line); }
+
   /// Demand-access path: touches recency; an L2 hit promotes the line
   /// into L1 (charging hit_penalty()) and may demote an L1 victim. `at`
   /// stamps any external victim the promotion displaces.

@@ -4,8 +4,9 @@
 //
 // Two front ends share this class. The default (fiber) front end runs
 // workload code on a fiber owned by this class: cache hits execute inline
-// (local clock bump); anything slower suspends the fiber until the protocol
-// completes the transaction through the event engine. The trace front end
+// through Protocol::read_hit/write_hit (local clock bump, no coroutine
+// frame); anything slower runs a protocol op that suspends the fiber until
+// the protocol completes the transaction through the event engine. The trace front end
 // (trace::ReplayCpu) overrides the virtual seam — start/finished/
 // quantum_yield/resume_execution — and advances by decoding trace records
 // instead of switching a fiber; the engine-facing contract (block/poke/
@@ -43,7 +44,8 @@ class Cpu {
   // ---- Workload API (fiber front end) ------------------------------------
 
   /// Timed shared-memory read. T must be trivially copyable and must not
-  /// straddle a cache line.
+  /// straddle a cache line. A hit completes in place; anything else drives
+  /// the protocol's cpu_read op.
   template <typename T>
   T read(Addr a);
 

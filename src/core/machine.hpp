@@ -216,7 +216,8 @@ T Cpu::read(Addr a) {
   if (AccessLog* log = m_.access_log()) {
     log->on_access(id_, /*write=*/false, a, sizeof(T));
   }
-  drive(m_.protocol().cpu_read(*this, a, sizeof(T)));
+  proto::Protocol& proto = m_.protocol();
+  if (!proto.read_hit(*this, a)) drive(proto.cpu_read(*this, a, sizeof(T)));
   LRCSIM_HOOK(m_, on_read(id_, a, sizeof(T)));
   return m_.store().load<T>(a);
 }
@@ -227,7 +228,10 @@ void Cpu::write(Addr a, const T& v) {
   if (AccessLog* log = m_.access_log()) {
     log->on_access(id_, /*write=*/true, a, sizeof(T));
   }
-  drive(m_.protocol().cpu_write(*this, a, sizeof(T)));
+  proto::Protocol& proto = m_.protocol();
+  if (!proto.write_hit(*this, a, sizeof(T))) {
+    drive(proto.cpu_write(*this, a, sizeof(T)));
+  }
   LRCSIM_HOOK(m_, on_write(id_, a, sizeof(T)));
   m_.store().store(a, v);
 }

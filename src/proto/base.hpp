@@ -17,6 +17,18 @@ class ProtocolBase : public Protocol {
  public:
   explicit ProtocolBase(core::Machine& m);
 
+  /// The one read-hit branch of every family: cpu_read's first step and
+  /// the front ends' frame-free path. A lookup that misses every level
+  /// changes nothing, so the op that follows a false return repeats it
+  /// harmlessly.
+  bool read_hit(core::Cpu& cpu, Addr a) final {
+    auto& cache = cpu.dcache();
+    if (cache.lookup(line_of(a), cpu.now()) == nullptr) return false;
+    ++cache.stats().read_hits;
+    cpu.tick(1 + cache.hit_penalty());
+    return true;
+  }
+
   // Introspection for tests.
   Directory& directory() { return dir_; }
 
@@ -34,6 +46,15 @@ class ProtocolBase : public Protocol {
   unsigned word_of(Addr a) const { return m_.amap().word_in_line(a); }
   WordMask words_of(Addr a, std::uint32_t bytes) const {
     return m_.amap().word_mask(a, bytes);
+  }
+
+  /// True when `cpu`'s L1 holds `line` writable, so a write hits without
+  /// leaving the processor. A pure peek: a false answer leaves no trace,
+  /// and the write op's own lookup() stays the access's only one (a second
+  /// lookup of an L2-resident line would count an extra L1 hit).
+  static bool l1_writable(const core::Cpu& cpu, LineId line) {
+    const cache::CacheLine* cl = cpu.dcache().l1_peek(line);
+    return cl != nullptr && cl->state == cache::LineState::kReadWrite;
   }
 
   /// Builds and sends a message at time `t`. Inline: this sits on the

@@ -15,7 +15,9 @@
 // ran, so host-call order — and therefore event order and every golden
 // digest — is unchanged. Frames recycle through a thread-local freelist
 // (each --jobs worker thread runs whole machines), so steady-state ops
-// allocate nothing.
+// allocate nothing. Cache hits create no op at all: both front ends try
+// Protocol::read_hit/write_hit first and build an op only for an access
+// that may leave the processor.
 #pragma once
 
 #include <cassert>
@@ -43,8 +45,9 @@ namespace op_detail {
 // machine, so no locking is needed; a frame abandoned at machine teardown
 // simply migrates to the destroying thread's pool. The first op of each
 // shape on a thread takes one global allocation; after that the hot path
-// (one frame per memory access) recycles — the zero-allocs-per-access gate
-// in bench/micro_trace.cpp pins this.
+// (one frame per access that misses the fast hit path, plus one per sync
+// op) recycles — the zero-allocs-per-access gate in bench/micro_trace.cpp
+// pins this.
 inline constexpr std::size_t kFrameGranule = 64;
 inline constexpr std::size_t kFrameBuckets = 64;  // pooled up to ~4 KiB
 

@@ -32,11 +32,7 @@ CpuOp Lrc::cpu_read(core::Cpu& cpu, Addr a, std::uint32_t bytes) {
   auto& cache = cpu.dcache();
 
   // Lazy reads: a locally cached line is usable even if globally Weak.
-  if (cache.lookup(line, cpu.now()) != nullptr) {
-    ++cache.stats().read_hits;
-    cpu.tick(1 + cache.hit_penalty());
-    co_return;
-  }
+  if (read_hit(cpu, a)) co_return;
   if (int s = cpu.wb().find(line); s >= 0) {
     const WordMask need = words_of(a, bytes);
     if ((cpu.wb().slot(s).words & need) == need) {
@@ -71,6 +67,14 @@ CpuOp Lrc::cpu_read(core::Cpu& cpu, Addr a, std::uint32_t bytes) {
   cpu.tick(1);
 }
 
+bool Lrc::write_hit(core::Cpu& cpu, Addr a, std::uint32_t bytes) {
+  const LineId line = line_of(a);
+  if (!l1_writable(cpu, line)) return false;
+  cpu.dcache().lookup(line, cpu.now());  // an L1 hit: recency only
+  retire_write_hit(cpu, line, words_of(a, bytes));
+  return true;
+}
+
 void Lrc::start_write_req(core::Cpu& cpu, LineId line, bool need_data,
                           int wb_slot, WordMask words) {
   const NodeId p = cpu.id();
@@ -96,10 +100,7 @@ CpuOp Lrc::cpu_write(core::Cpu& cpu, Addr a, std::uint32_t bytes) {
   while (true) {
     cache::CacheLine* cl = cache.lookup(line, cpu.now());
     if (cl != nullptr && cl->state == LineState::kReadWrite) {
-      ++cache.stats().write_hits;
-      cb_add(cpu, line, words, cpu.now());
-      note_local_write(p, line, words);
-      cpu.tick(1 + cache.hit_penalty());
+      retire_write_hit(cpu, line, words);
       co_return;
     }
     if (cl != nullptr) {

@@ -33,6 +33,7 @@ class Lrc : public ProtocolBase {
 
   CpuOp cpu_read(core::Cpu& cpu, Addr a, std::uint32_t bytes) override;
   CpuOp cpu_write(core::Cpu& cpu, Addr a, std::uint32_t bytes) override;
+  bool write_hit(core::Cpu& cpu, Addr a, std::uint32_t bytes) final;
   CpuOp acquire(core::Cpu& cpu, SyncId s) override;
   CpuOp release(core::Cpu& cpu, SyncId s) override;
   CpuOp barrier(core::Cpu& cpu, SyncId s) override;
@@ -82,6 +83,18 @@ class Lrc : public ProtocolBase {
   /// Adds a write to the coalescing buffer, streaming a displaced entry to
   /// memory.
   void cb_add(core::Cpu& cpu, LineId line, WordMask words, Cycle at);
+
+  /// The one write-hit branch of both lazy variants (their write ops and
+  /// write_hit): `line` is writable where the caller's lookup() just found
+  /// it. The write joins the coalescing buffer; note_local_write decides
+  /// whether the classifier sees it now (LRC) or at announcement (LRC-ext).
+  void retire_write_hit(core::Cpu& cpu, LineId line, WordMask words) {
+    auto& cache = cpu.dcache();
+    ++cache.stats().write_hits;
+    cb_add(cpu, line, words, cpu.now());
+    note_local_write(cpu.id(), line, words);
+    cpu.tick(1 + cache.hit_penalty());
+  }
 
   void send_write_through(NodeId p, LineId line, WordMask words, Cycle at);
 

@@ -21,10 +21,7 @@ CpuOp LrcExt::cpu_write(core::Cpu& cpu, Addr a, std::uint32_t bytes) {
   while (true) {
     cache::CacheLine* cl = cache.lookup(line, cpu.now());
     if (cl != nullptr && cl->state == LineState::kReadWrite) {
-      ++cache.stats().write_hits;
-      cb_add(cpu, line, words, cpu.now());
-      note_local_write(p, line, words);
-      cpu.tick(1 + cache.hit_penalty());
+      retire_write_hit(cpu, line, words);
       co_return;
     }
     if (cl != nullptr) {

@@ -41,11 +41,7 @@ CpuOp MsiBase::cpu_read(core::Cpu& cpu, Addr a, std::uint32_t bytes) {
   auto& cache = cpu.dcache();
 
   while (true) {
-    if (cache.lookup(line, cpu.now()) != nullptr) {
-      ++cache.stats().read_hits;
-      cpu.tick(1 + cache.hit_penalty());
-      co_return;
-    }
+    if (read_hit(cpu, a)) co_return;
     // Read bypass: a buffered write to the same words satisfies the read.
     if (int s = cpu.wb().find(line); s >= 0) {
       const WordMask need = words_of(a, bytes);
@@ -85,6 +81,14 @@ CpuOp MsiBase::cpu_read(core::Cpu& cpu, Addr a, std::uint32_t bytes) {
   cpu.tick(1);
 }
 
+bool MsiBase::write_hit(core::Cpu& cpu, Addr a, std::uint32_t bytes) {
+  const LineId line = line_of(a);
+  if (!l1_writable(cpu, line)) return false;
+  cpu.dcache().lookup(line, cpu.now());  // an L1 hit: recency only
+  retire_write_hit(cpu, line, words_of(a, bytes));
+  return true;
+}
+
 void MsiBase::start_write_tx(core::Cpu& cpu, LineId line, WordMask words,
                              int wb_slot, bool present_ro) {
   const NodeId p = cpu.id();
@@ -111,9 +115,7 @@ CpuOp Sc::cpu_write(core::Cpu& cpu, Addr a, std::uint32_t bytes) {
 
   cache::CacheLine* cl = cache.lookup(line, cpu.now());
   if (cl != nullptr && cl->state == LineState::kReadWrite) {
-    ++cache.stats().write_hits;
-    commit_write(p, line, words);
-    cpu.tick(1 + cache.hit_penalty());
+    retire_write_hit(cpu, line, words);
     co_return;
   }
 
@@ -142,9 +144,7 @@ CpuOp Erc::cpu_write(core::Cpu& cpu, Addr a, std::uint32_t bytes) {
   while (true) {
     cache::CacheLine* cl = cache.lookup(line, cpu.now());
     if (cl != nullptr && cl->state == LineState::kReadWrite) {
-      ++cache.stats().write_hits;
-      commit_write(p, line, words);
-      cpu.tick(1 + cache.hit_penalty());
+      retire_write_hit(cpu, line, words);
       co_return;
     }
     // Coalesce into an in-flight buffered write to the same line.

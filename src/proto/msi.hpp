@@ -16,6 +16,7 @@ class MsiBase : public ProtocolBase {
   explicit MsiBase(core::Machine& m);
 
   CpuOp cpu_read(core::Cpu& cpu, Addr a, std::uint32_t bytes) override;
+  bool write_hit(core::Cpu& cpu, Addr a, std::uint32_t bytes) final;
   CpuOp acquire(core::Cpu& cpu, SyncId s) override;
   CpuOp release(core::Cpu& cpu, SyncId s) override;
   CpuOp barrier(core::Cpu& cpu, SyncId s) override;
@@ -62,6 +63,15 @@ class MsiBase : public ProtocolBase {
   /// write with the miss classifier (write-back data path; the
   /// write-through variant streams words to memory instead).
   virtual void commit_write(NodeId p, LineId line, WordMask words);
+
+  /// The one write-hit branch of the family (SC and ERC ops, write_hit):
+  /// `line` is writable where the caller's lookup() just found it.
+  void retire_write_hit(core::Cpu& cpu, LineId line, WordMask words) {
+    auto& cache = cpu.dcache();
+    ++cache.stats().write_hits;
+    commit_write(cpu.id(), line, words);
+    cpu.tick(1 + cache.hit_penalty());
+  }
 
   void unbusy_and_replay(DirEntry& e, Cycle at);
 };

@@ -3,8 +3,11 @@
 // (proto/cpu_op.hpp): the op body runs in the context of whichever front
 // end drives it — the workload fiber (core::Cpu::drive) or the trace
 // replayer's event-driven decode loop — suspending at Wait whenever the
-// memory model requires the processor to stall. `handle` runs in event
-// context when a message wins the destination node's protocol processor.
+// memory model requires the processor to stall. Cache hits, the common
+// case, skip the coroutine: both front ends first try read_hit/write_hit,
+// plain calls that complete an access the cache can serve in place.
+// `handle` runs in event context when a message wins the destination
+// node's protocol processor.
 #pragma once
 
 #include <memory>
@@ -36,6 +39,15 @@ class Protocol {
   /// the cpu as required by the memory model.
   virtual CpuOp cpu_read(core::Cpu& cpu, Addr a, std::uint32_t bytes) = 0;
   virtual CpuOp cpu_write(core::Cpu& cpu, Addr a, std::uint32_t bytes) = 0;
+
+  /// Frame-free cache-hit paths, tried by the front ends before cpu_read/
+  /// cpu_write. Each either completes the access exactly as the op's hit
+  /// branch would (same helper, same statistics, recency and tick) and
+  /// returns true, or changes nothing and returns false, in which case the
+  /// caller drives the op. A read hits when the private stack holds the
+  /// line at any level; a write only when L1 holds it writable.
+  virtual bool read_hit(core::Cpu& cpu, Addr a) = 0;
+  virtual bool write_hit(core::Cpu& cpu, Addr a, std::uint32_t bytes) = 0;
 
   /// Synchronization entry points.
   virtual CpuOp acquire(core::Cpu& cpu, SyncId s) = 0;

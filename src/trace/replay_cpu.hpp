@@ -2,8 +2,10 @@
 // engine-facing contract (block/poke/local clock, the reusable resume
 // event) but advances by decoding the next trace record instead of
 // switching a fiber: no sim::Fiber, no asm context switch, no per-CPU
-// stack. Protocol ops are the same CpuOp coroutines the fiber front end
-// drives, stepped directly from engine events.
+// stack. Reads and writes first try the protocol's frame-free hit path,
+// exactly as the fiber front end does; everything else is the same CpuOp
+// coroutine the fiber front end drives, stepped directly from engine
+// events.
 //
 // Timing is bit-identical to the fiber run the trace was captured from.
 // The only structural difference is the run-ahead quantum yield: a fiber

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -253,6 +256,61 @@ TEST(HarnessCliDeathTest, RejectsMalformedNumericFlags) {
                 c.flag)
         << c.flag << " '" << c.value << "'";
   }
+}
+
+// The shared top level turns an escaping exception into exit status 2.
+TEST(HarnessCli, RunMainReportsEscapingExceptionsAsStatusTwo) {
+  std::string prog = "fig";
+  char* argv[] = {prog.data(), nullptr};
+  EXPECT_EQ(bench::run_main(1, argv, [](int, char**) { return 0; }), 0);
+  EXPECT_EQ(bench::run_main(1, argv,
+                            [](int, char**) -> int {
+                              throw std::runtime_error("broken input");
+                            }),
+            2);
+}
+
+// Bad input to the real programs: a clear error and exit status 2, never
+// std::terminate (exit 134). The child process execs the built binary.
+[[noreturn]] void exec_program(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  execv(argv[0], argv.data());
+  std::_Exit(127);  // exec failed: not the expected status
+}
+
+TEST(CliDeathTest, ReplayOfAMissingTraceExitsTwo) {
+  for (const char* jobs : {"1", "3"}) {
+    EXPECT_EXIT(exec_program({LRCSIM_FIG4_BIN, "--quick", "--apps", "fft",
+                              "--jobs", jobs, "--replay", "nonexist"}),
+                ::testing::ExitedWithCode(2),
+                // Under --jobs the first failing worker names its cell.
+                "nonexist/fft_.*/meta.txt:block 0: cannot open")
+        << "--jobs " << jobs;
+  }
+}
+
+TEST(CliDeathTest, RunAppRejectsBadFlagsWithExitTwo) {
+  const struct {
+    const char* flag;
+    const char* value;
+    const char* error;
+  } cases[] = {
+      {"--procs", "abc", "--procs: invalid value 'abc'"},
+      {"--procs", "0", "--procs: invalid value '0'"},
+      {"--procs", "100000", "--procs: invalid value '100000'"},
+      {"--cache-kb", "-1", "--cache-kb: invalid value '-1'"},
+      {"--cache-kb", "3", "cache_bytes must be a non-zero power of two"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EXIT(exec_program({LRCSIM_RUN_APP_BIN, "fft", "LRC", c.flag,
+                              c.value}),
+                ::testing::ExitedWithCode(2), c.error)
+        << c.flag << " " << c.value;
+  }
+  EXPECT_EXIT(exec_program({LRCSIM_RUN_APP_BIN, "fft", "LRC", "--procs"}),
+              ::testing::ExitedWithCode(2), "--procs: invalid value ''");
 }
 
 }  // namespace
