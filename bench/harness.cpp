@@ -298,22 +298,25 @@ std::vector<RunResult> run_experiments(const std::vector<Experiment>& exps,
   // Each experiment runs on a fresh Machine with the same seed derivation
   // as the serial path, so this only changes wall-clock time, never
   // results. Workers pull the next unclaimed index; results land at their
-  // input position.
+  // input position. After a failure, workers stop claiming indices above
+  // the lowest one failed so far; every lower index still runs, so the
+  // error rethrown is the one the serial loop stops at.
   std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
+  std::atomic<std::size_t> lowest_failed{exps.size()};
+  std::exception_ptr error;  // the failure at lowest_failed
   std::mutex error_mu;
   auto worker = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= exps.size() || failed.load(std::memory_order_relaxed)) return;
+      if (i >= lowest_failed.load(std::memory_order_relaxed)) return;
       try {
         results[i] = run_app(*exps[i].app, exps[i].kind, opt);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        return;
+        if (i < lowest_failed.load(std::memory_order_relaxed)) {
+          error = std::current_exception();
+          lowest_failed.store(i, std::memory_order_relaxed);
+        }
       }
     }
   };

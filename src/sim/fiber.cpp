@@ -1,11 +1,17 @@
 #include "sim/fiber.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cassert>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
+#include <system_error>
 
 #ifdef LRC_FIBER_ASAN
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -55,6 +61,36 @@ namespace {
 // per-thread state.
 thread_local Fiber* g_current = nullptr;
 }  // namespace
+
+Fiber::Stack::Stack(std::size_t bytes)
+    : guard_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))) {
+  map_bytes_ = guard_ + (bytes + guard_ - 1) / guard_ * guard_;
+  // MAP_NORESERVE: the stack is mostly never touched, so it should not
+  // count against the commit limit either.
+  void* p = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) {
+    throw std::system_error(errno, std::generic_category(),
+                            "Fiber: cannot map stack");
+  }
+  map_ = static_cast<char*>(p);
+  if (mprotect(map_, guard_, PROT_NONE) != 0) {
+    const int err = errno;
+    munmap(map_, map_bytes_);
+    throw std::system_error(err, std::generic_category(),
+                            "Fiber: cannot protect stack guard page");
+  }
+}
+
+Fiber::Stack::~Stack() {
+#ifdef LRC_FIBER_ASAN
+  // Frame redzones left in the shadow would outlive the mapping and fault
+  // whatever is mapped at this address next; the ASan allocator clears the
+  // shadow of its own unmapped chunks the same way.
+  __asan_unpoison_memory_region(data(), size());
+#endif
+  munmap(map_, map_bytes_);
+}
 
 #ifdef LRC_FIBER_FAST_SWITCH
 

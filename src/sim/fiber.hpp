@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <vector>
 
 // AddressSanitizer must be told about stack switches, or its shadow-stack
 // bookkeeping misattributes frames and reports false positives.
@@ -54,6 +53,7 @@ namespace lrc::sim {
 class Fiber {
  public:
   /// Creates a suspended fiber that will run `fn` when first resumed.
+  /// `stack_bytes` is rounded up to whole pages; the guard page is extra.
   explicit Fiber(std::function<void()> fn, std::size_t stack_bytes = 256 * 1024);
 
   /// A fiber destroyed while suspended mid-body (its run abandoned, e.g. an
@@ -88,8 +88,28 @@ class Fiber {
 
   struct Unwind {};  // thrown from yield() into a fiber being destroyed
 
+  /// The fiber's stack: an anonymous private mapping with a PROT_NONE guard
+  /// page at its low end. Only the pages the fiber touches become resident,
+  /// and an overflow faults at the guard page instead of overwriting the
+  /// heap. data()/size() are the usable region above the guard.
+  class Stack {
+   public:
+    explicit Stack(std::size_t bytes);
+    ~Stack();
+    Stack(const Stack&) = delete;
+    Stack& operator=(const Stack&) = delete;
+
+    char* data() const { return map_ + guard_; }
+    std::size_t size() const { return map_bytes_ - guard_; }
+
+   private:
+    char* map_ = nullptr;
+    std::size_t map_bytes_ = 0;
+    std::size_t guard_ = 0;
+  };
+
   std::function<void()> fn_;
-  std::vector<char> stack_;
+  Stack stack_;
 #ifdef LRC_FIBER_FAST_SWITCH
   void* ctx_sp_ = nullptr;     // suspended fiber's stack pointer
   void* caller_sp_ = nullptr;  // main context's stack pointer while running

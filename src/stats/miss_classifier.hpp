@@ -54,10 +54,13 @@ struct MissCounts {
 
 class MissClassifier {
  public:
+  /// `nprocs` <= 64 (writer ids are stored in one byte) and
+  /// 1 <= `words_per_line` <= 64.
   MissClassifier(unsigned nprocs, unsigned words_per_line);
 
   /// Records that `writer`'s writes to `words` of `line` became globally
-  /// visible (directory processed the write / sent notices).
+  /// visible (directory processed the write / sent notices). Throws
+  /// std::overflow_error on a line's 2^32-th commit.
   void on_write_committed(NodeId writer, LineId line, WordMask words);
 
   /// Records that `proc` obtained a copy of `line`.
@@ -75,32 +78,43 @@ class MissClassifier {
   MissCounts aggregate() const;
 
  private:
-  struct WordInfo {
-    NodeId writer = kInvalidNode;
-    std::uint64_t stamp = 0;
-  };
-  struct LineHist {
-    enum class Status : std::uint8_t { kNever, kCached, kLostEvict, kLostInval };
-    Status status = Status::kNever;
-    // Global write stamp when this processor last *obtained* the copy.
-    // Foreign writes after this stamp made (or would have made) the copy
-    // stale — this window is what distinguishes sharing misses from pure
-    // capacity/conflict misses even when invalidations are applied lazily.
-    std::uint64_t fill_stamp = 0;
+  // One record per line that any processor filled, lost or wrote, found by
+  // one FlatMap probe (line -> record number r). Its parts are stored
+  // struct-of-arrays so a miss touches only what it compares:
+  //   heads_[r]                       LineHead below
+  //   fills_[r * nprocs_ + p]         p's fill stamp
+  //   stamps_/writers_[r * wpl + w]   word w's last commit stamp and writer
+  //
+  // Foreign writes after a processor's fill made (or would have made) its
+  // copy stale; this window separates sharing misses from capacity and
+  // conflict misses even when invalidations are applied lazily.
+  //
+  // Stamps are line-local: `seq` counts the commits that reached this line,
+  // a word's stamp is `seq` after the commit that wrote it, and a fill
+  // stamp is `seq` at the fill. A stamp is only ever compared with a fill
+  // of the same line, and commit c happened after fill f exactly when
+  // c's line-local count exceeds f's, so the result is the one a single
+  // global write counter would give. A word stamp of 0 means "never
+  // written" (real commits start at 1), and fill stamp 0 — a copy lost
+  // before any fill — counts every write ever made. When a processor's
+  // fill stamp equals `seq`, nothing was committed since its fill and the
+  // word scan is skipped.
+  struct LineHead {
+    ProcMask known = 0;    // processors with any fill or loss of the line
+    ProcMask evicted = 0;  // ... whose last such event was a replacement
+    ProcMask cached = 0;   // ... whose last such event was a fill
+    std::uint32_t seq = 0;  // commits to this line so far
   };
 
-  // on_write_committed runs for every committed write and classify for
-  // every miss, so per-line state lives in flat-hash maps: word stamps are
-  // blocks of `words_per_line_` entries in one contiguous array (indexed by
-  // a line -> block table), and per-processor line history is stored
-  // directly in the map slots (LineHist is small and never referenced
-  // across another map operation).
+  std::uint32_t record(LineId line);  // finds or appends the line's record
+
   unsigned nprocs_;
   unsigned words_per_line_;
-  std::uint64_t stamp_ = 0;
-  util::FlatMap<std::uint32_t> word_index_;  // line -> block number
-  std::vector<WordInfo> word_info_;  // block b at [b*wpl, (b+1)*wpl)
-  std::vector<util::FlatMap<LineHist>> hist_;  // per proc
+  util::FlatMap<std::uint32_t> index_;  // line -> record number
+  std::vector<LineHead> heads_;
+  std::vector<std::uint32_t> fills_;
+  std::vector<std::uint32_t> stamps_;
+  std::vector<std::uint8_t> writers_;
   std::vector<MissCounts> per_proc_;
 };
 

@@ -18,7 +18,9 @@ std::string stream_name(unsigned cpu) {
 }
 
 CaptureLog::CaptureLog(std::string dir, unsigned nprocs)
-    : dir_(std::move(dir)), streams_(nprocs) {
+    : dir_(std::move(dir)),
+      streams_(nprocs),
+      comp_(kBlockRawBytes + kBlockRawBytes / 16 + 64) {
   std::filesystem::create_directories(dir_);
   for (unsigned p = 0; p < nprocs; ++p) {
     Stream& s = streams_[p];
@@ -29,7 +31,6 @@ CaptureLog::CaptureLog(std::string dir, unsigned nprocs)
     }
     // Slack past the block size so a record never straddles the flush check.
     s.raw.resize(kBlockRawBytes + kMaxRecordBytes);
-    s.comp.resize(kBlockRawBytes + kBlockRawBytes / 16 + 64);
     std::uint8_t hdr[kFileHeaderBytes] = {};
     put_u32(hdr, kMagic);
     put_u16(hdr + 4, kVersion);
@@ -74,17 +75,17 @@ void CaptureLog::flush_block(Stream& s) {
   std::size_t payload_len = raw_len;
 
   std::size_t c = zstd_available()
-                      ? zstd_compress(raw, raw_len, s.comp.data(),
-                                      s.comp.size())
+                      ? zstd_compress(raw, raw_len, comp_.data(),
+                                      comp_.size())
                       : 0;
   if (c != 0 && c < raw_len) {
     codec = Codec::kZstd;
   } else {
-    c = lrz_compress(raw, raw_len, s.comp.data(), s.comp.size());
+    c = lrz_compress(raw, raw_len, comp_.data(), comp_.size());
     if (c != 0 && c < raw_len) codec = Codec::kLrz;
   }
   if (codec != Codec::kRaw) {
-    payload = s.comp.data();
+    payload = comp_.data();
     payload_len = c;
   }
 

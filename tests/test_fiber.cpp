@@ -1,7 +1,12 @@
 #include "sim/fiber.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <csignal>
+#include <cstdint>
+#include <fstream>
 #include <memory>
 #include <vector>
 
@@ -128,6 +133,56 @@ TEST(Fiber, DestroyedWhileSuspendedUnwindsItsStack) {
   // A fiber never started, or already finished, is destroyed as before.
   { Fiber unstarted([&] { ran_past_yield = true; }); }
   EXPECT_FALSE(ran_past_yield);
+}
+
+// Resident set size of this process, from the second field of
+// /proc/self/statm (in pages).
+std::int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t size = 0;
+  std::int64_t resident = 0;
+  statm >> size >> resident;
+  return resident * static_cast<std::int64_t>(sysconf(_SC_PAGESIZE));
+}
+
+// A machine builds one fiber per processor, and a workload touches a few
+// KiB of each 256 KiB stack: the untouched pages must never become
+// resident. (Zero-filled stacks made 64 fibers cost 16 MiB.)
+TEST(Fiber, StacksAreCommittedOnDemand) {
+#ifdef LRC_FIBER_TSAN
+  GTEST_SKIP() << "the TSan runtime commits ~860 KB of its own per fiber";
+#endif
+  constexpr int kFibers = 64;
+  std::vector<std::unique_ptr<Fiber>> fibers;
+  fibers.reserve(kFibers);
+  const std::int64_t before = resident_bytes();
+  for (int i = 0; i < kFibers; ++i) {
+    fibers.push_back(std::make_unique<Fiber>([] {}));
+  }
+  const std::int64_t grown = resident_bytes() - before;
+  EXPECT_LT(grown, std::int64_t{2} << 20) << grown << " bytes";
+}
+
+// Small frames, so the recursion cannot step over the guard page.
+[[gnu::noinline]] int recurse(int depth) {
+  volatile char pad[128];
+  pad[0] = static_cast<char>(depth);
+  return depth < 0 ? 0 : recurse(depth + 1) + pad[0];
+}
+
+void overflow_a_fiber_stack() {
+  const rlimit no_core{0, 0};
+  setrlimit(RLIMIT_CORE, &no_core);
+  Fiber f([] { recurse(0); });
+  f.resume();
+}
+
+TEST(FiberDeathTest, StackOverflowFaultsAtTheGuardPage) {
+#if defined(LRC_FIBER_ASAN) || defined(LRC_FIBER_TSAN)
+  GTEST_SKIP() << "the sanitizer runtime intercepts SIGSEGV";
+#endif
+  EXPECT_EXIT(overflow_a_fiber_stack(), ::testing::KilledBySignal(SIGSEGV),
+              "");
 }
 
 }  // namespace

@@ -285,8 +285,8 @@ TEST(CliDeathTest, ReplayOfAMissingTraceExitsTwo) {
     EXPECT_EXIT(exec_program({LRCSIM_FIG4_BIN, "--quick", "--apps", "fft",
                               "--jobs", jobs, "--replay", "nonexist"}),
                 ::testing::ExitedWithCode(2),
-                // Under --jobs the first failing worker names its cell.
-                "nonexist/fft_.*/meta.txt:block 0: cannot open")
+                // Under --jobs too, the lowest failing cell is reported.
+                "nonexist/fft_SC/meta.txt:block 0: cannot open")
         << "--jobs " << jobs;
   }
 }
