@@ -245,7 +245,7 @@ RunResult run_app(const apps::AppInfo& info, core::ProtocolKind kind,
         opt.capture_dir + "/" + cell, opt.procs);
     capture->set_meta(std::string(info.name),
                       std::string(core::to_string(kind)), opt.seed);
-    m.set_access_log(capture.get());
+    m.add_observer(*capture);
   }
   apps::AppConfig cfg;
   cfg.seed = opt.seed;

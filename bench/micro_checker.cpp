@@ -1,12 +1,19 @@
 // Consistency-checker overhead microbenchmark (docs/CHECKER.md): the same
-// sync-heavy LRC workload simulated with the checker disabled (hooks
-// compiled in but null) and enabled (full value oracle + directory
-// invariants), reporting wall time for each and the slowdown factor.
-// Writes JSON to stdout and BENCH_checker_overhead.json.
+// sync-heavy LRC workload simulated with no observer attached and with the
+// checker attached (full value oracle + directory invariants), repeated
+// kReps times in alternating order. Reports the median, minimum and
+// maximum wall time of each, the slowdown of the medians and the spread
+// of the per-repetition slowdowns, with the host's core count and the
+// compiler. Writes JSON to stdout and BENCH_checker_overhead.json.
+//
+//   micro_checker [iters=60]
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
+#include <vector>
 
 #include "check/checker.hpp"
 #include "core/machine.hpp"
@@ -76,34 +83,69 @@ Outcome run_workload(ProtocolKind kind, unsigned iters, bool with_checker) {
   return out;
 }
 
+constexpr unsigned kReps = 11;
+
+struct Spread {
+  double median = 0, min = 0, max = 0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return {v[v.size() / 2], v.front(), v.back()};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   unsigned iters = 60;
   if (argc > 1) iters = static_cast<unsigned>(std::strtoul(argv[1], nullptr, 10));
 
-  // One throwaway round to warm the allocator, then measure each config.
+  // One throwaway round to warm the allocator, then alternate which
+  // configuration runs first so host drift lands on both alike.
   run_workload(ProtocolKind::kLRC, iters / 4 + 1, /*with_checker=*/false);
-  const Outcome off = run_workload(ProtocolKind::kLRC, iters, false);
-  const Outcome on = run_workload(ProtocolKind::kLRC, iters, true);
-  const double slowdown = on.millis / off.millis;
+  std::vector<double> off_ms, on_ms, ratios;
+  Outcome on;
+  for (unsigned r = 0; r < kReps; ++r) {
+    Outcome off;
+    if (r % 2 == 0) {
+      off = run_workload(ProtocolKind::kLRC, iters, false);
+      on = run_workload(ProtocolKind::kLRC, iters, true);
+    } else {
+      on = run_workload(ProtocolKind::kLRC, iters, true);
+      off = run_workload(ProtocolKind::kLRC, iters, false);
+    }
+    off_ms.push_back(off.millis);
+    on_ms.push_back(on.millis);
+    ratios.push_back(on.millis / off.millis);
+  }
+  const Spread off_s = spread_of(off_ms);
+  const Spread on_s = spread_of(on_ms);
+  const Spread ratio_s = spread_of(ratios);
 
-  char json[1024];
+  char json[1536];
   std::snprintf(
       json, sizeof(json),
       "{\n"
       "  \"bench\": \"checker_overhead\",\n"
       "  \"protocol\": \"LRC\",\n"
       "  \"iters\": %u,\n"
-      "  \"checker_off\": {\"millis\": %.2f},\n"
-      "  \"checker_on\": {\"millis\": %.2f, \"reads_checked\": %llu,\n"
+      "  \"reps\": %u,\n"
+      "  \"host\": {\"cores\": %u, \"compiler\": \"%s\"},\n"
+      "  \"checker_off\": {\"median_millis\": %.2f, \"min_millis\": %.2f,\n"
+      "                  \"max_millis\": %.2f},\n"
+      "  \"checker_on\": {\"median_millis\": %.2f, \"min_millis\": %.2f,\n"
+      "                 \"max_millis\": %.2f, \"reads_checked\": %llu,\n"
       "                 \"writes_tracked\": %llu, \"races\": %llu},\n"
-      "  \"slowdown\": %.2f\n"
+      "  \"slowdown\": %.2f,\n"
+      "  \"slowdown_per_rep\": {\"median\": %.2f, \"min\": %.2f, "
+      "\"max\": %.2f}\n"
       "}\n",
-      iters, off.millis, on.millis,
+      iters, kReps, std::thread::hardware_concurrency(), __VERSION__,
+      off_s.median, off_s.min, off_s.max, on_s.median, on_s.min, on_s.max,
       static_cast<unsigned long long>(on.reads_checked),
       static_cast<unsigned long long>(on.writes_tracked),
-      static_cast<unsigned long long>(on.races), slowdown);
+      static_cast<unsigned long long>(on.races), on_s.median / off_s.median,
+      ratio_s.median, ratio_s.min, ratio_s.max);
 
   std::fputs(json, stdout);
   if (FILE* f = std::fopen("BENCH_checker_overhead.json", "w")) {

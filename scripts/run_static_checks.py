@@ -9,8 +9,8 @@ Default pipeline (all gating):
   3. Cross-validate the model against docs/PROTOCOL.md's tables.
   4. Determinism lint (pass 2) over src/ — fails on any unannotated finding.
   5. Static-vs-dynamic coverage report against --observed (informational,
-     never fails the run; the file is produced by litmus runs with
-     LRCSIM_TRANSITION_LOG set — see docs/STATIC.md).
+     never fails the run; the file is written by the TransitionCoverage
+     ctest of a build — see docs/STATIC.md).
 
 --self-test proves the analyzer can actually catch what it claims to:
   * every fixture under tests/static/fixtures/ must produce exactly the
@@ -215,7 +215,7 @@ def main() -> int:
                          "(default <repo>/build/proto_model.json)")
     ap.add_argument("--observed", type=Path, default=None,
                     help="observed-transition log for the coverage report "
-                         "(default tests/static/observed_transitions.txt)")
+                         "(default <repo>/build/observed_transitions.txt)")
     ap.add_argument("--update", action="store_true",
                     help="regenerate the golden snapshots")
     ap.add_argument("--self-test", action="store_true",
@@ -234,7 +234,7 @@ def main() -> int:
     out = args.out or repo / "build" / "proto_model.json"
     observed = args.observed
     if observed is None:
-        default_obs = repo / "tests" / "static" / "observed_transitions.txt"
+        default_obs = repo / "build" / "observed_transitions.txt"
         observed = default_obs if default_obs.is_file() else None
 
     ok = True

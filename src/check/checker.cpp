@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <fstream>
 
 #include "core/machine.hpp"
 #include "proto/base.hpp"
@@ -29,20 +27,6 @@ Checker::Checker(core::Machine& m, bool strict)
       observed_(m.nprocs()) {
   vc_.assign(nprocs_, std::vector<std::uint64_t>(nprocs_, 0));
   for (unsigned p = 0; p < nprocs_; ++p) vc_[p][p] = 1;
-  if (const char* log = std::getenv("LRCSIM_TRANSITION_LOG")) {
-    transition_log_enabled_ = *log != '\0';
-    if (transition_log_enabled_) transition_log_path_ = log;
-  }
-}
-
-Checker::~Checker() {
-  if (!transition_log_enabled_ || transitions_.empty()) return;
-  // Appended (not truncated): one run per protocol family accumulates a
-  // corpus-wide log; std::set ordering keeps each run's chunk sorted.
-  std::ofstream out(transition_log_path_, std::ios::app);
-  for (const auto& [family, state, kind] : transitions_) {
-    out << family << '\t' << state << '\t' << kind << '\n';
-  }
 }
 
 Checker::LineShadow& Checker::shadow(LineId line) {
@@ -62,6 +46,14 @@ void Checker::violation(std::string msg) {
 }
 
 // ---- Value oracle ----------------------------------------------------------
+
+void Checker::on_access(NodeId p, bool write, Addr a, std::uint32_t bytes) {
+  if (write) {
+    on_write(p, a, bytes);
+  } else {
+    on_read(p, a, bytes);
+  }
+}
 
 void Checker::on_read(NodeId p, Addr a, std::uint32_t bytes) {
   const LineId line = m_.amap().line_of(a);
@@ -166,38 +158,47 @@ void Checker::on_copy_dropped(NodeId p, LineId line) {
 
 // ---- Happens-before frontier ----------------------------------------------
 
-void Checker::on_acquire(NodeId p, SyncId s) {
-  auto it = lock_clock_.find(s);
-  if (it != lock_clock_.end()) join(vc_[p], it->second);
-}
-
-void Checker::on_release(NodeId p, SyncId s) {
-  auto& lc = lock_clock_[s];
-  if (lc.empty()) lc.assign(nprocs_, 0);
-  join(lc, vc_[p]);
-  ++vc_[p][p];
-}
-
-void Checker::on_barrier_arrive(NodeId p, SyncId s) {
-  BarrierState& b = barriers_[s];
-  if (b.arrived == nprocs_) {  // previous episode complete; start fresh
-    b.accum.clear();
-    b.arrived = 0;
+void Checker::on_sync_begin(NodeId p, core::SyncOp op, SyncId s) {
+  if (op == core::SyncOp::kUnlock) {
+    auto& lc = lock_clock_[s];
+    if (lc.empty()) lc.assign(nprocs_, 0);
+    join(lc, vc_[p]);
+    ++vc_[p][p];
+  } else if (op == core::SyncOp::kBarrier) {
+    BarrierState& b = barriers_[s];
+    if (b.arrived == nprocs_) {  // previous episode complete; start fresh
+      b.accum.clear();
+      b.arrived = 0;
+    }
+    if (b.accum.empty()) b.accum.assign(nprocs_, 0);
+    join(b.accum, vc_[p]);
+    ++vc_[p][p];
+    if (++b.arrived == nprocs_) b.snapshot = b.accum;
   }
-  if (b.accum.empty()) b.accum.assign(nprocs_, 0);
-  join(b.accum, vc_[p]);
-  ++vc_[p][p];
-  if (++b.arrived == nprocs_) b.snapshot = b.accum;
 }
 
-void Checker::on_barrier_done(NodeId p, SyncId s) {
-  BarrierState& b = barriers_[s];
-  join(vc_[p], b.snapshot);
+void Checker::on_sync_end(NodeId p, core::SyncOp op, SyncId s) {
+  switch (op) {
+    case core::SyncOp::kLock:
+      if (auto it = lock_clock_.find(s); it != lock_clock_.end()) {
+        join(vc_[p], it->second);
+      }
+      return;
+    case core::SyncOp::kUnlock:
+      check_drained(m_.cpu(p), "unlock");
+      return;
+    case core::SyncOp::kBarrier:
+      check_drained(m_.cpu(p), "barrier");
+      join(vc_[p], barriers_[s].snapshot);
+      return;
+    case core::SyncOp::kFence:
+      return;
+  }
 }
 
 // ---- Drain-before-release ---------------------------------------------------
 
-void Checker::on_release_drained(core::Cpu& cpu, const char* where) {
+void Checker::check_drained(core::Cpu& cpu, const char* where) {
   std::string bad;
   if (!cpu.wb().empty()) bad += " write-buffer";
   if (!cpu.ot().empty()) bad += " ot-table";
@@ -211,22 +212,7 @@ void Checker::on_release_drained(core::Cpu& cpu, const char* where) {
 
 // ---- Directory invariants ---------------------------------------------------
 
-void Checker::before_handle(const mesh::Message& msg) {
-  if (!transition_log_enabled_ || base_ == nullptr ||
-      proto::SyncManager::owns(msg.kind)) {
-    return;
-  }
-  // find(), not entry(): the pre-handle state of an untouched line is
-  // kUncached, and peeking must not materialize a directory entry.
-  const proto::DirEntry* e = base_->directory().find(msg.line);
-  const proto::DirState st =
-      e != nullptr ? e->state : proto::DirState::kUncached;
-  transitions_.emplace(std::string(m_.protocol().name()),
-                       std::string(proto::to_string(st)),
-                       std::string(mesh::to_string(msg.kind)));
-}
-
-void Checker::after_handle(const mesh::Message& msg) {
+void Checker::on_handled(const mesh::Message& msg) {
   if (base_ == nullptr || proto::SyncManager::owns(msg.kind)) return;
   check_hierarchy_line(msg.dst, msg.line);
   proto::DirEntry* e = base_->directory().find(msg.line);
@@ -345,7 +331,7 @@ void Checker::check_entry(LineId line, const proto::DirEntry& e) {
 
 void Checker::final_check() {
   for (unsigned p = 0; p < nprocs_; ++p) {
-    on_release_drained(m_.cpu(p), "end of run");
+    check_drained(m_.cpu(p), "end of run");
     // Full inclusion/exclusion sweep: every line either level holds must
     // satisfy the boundary contract (the per-message check only sees lines
     // the protocol touched).

@@ -1,8 +1,9 @@
 // Runtime consistency checker, opt-in per Machine via enable_checker().
 //
-// Three layers, all driven by hooks the simulator fires in host execution
-// order (which the protocols guarantee matches the simulated happens-before
-// order for synchronized operations — see docs/CHECKER.md):
+// An observer (core/observer.hpp) with three layers, all driven by events
+// the simulator fires in host execution order (which the protocols
+// guarantee matches the simulated happens-before order for synchronized
+// operations — see docs/CHECKER.md):
 //
 //  1. Value oracle: a vector clock per processor plus word-granularity
 //     shadow memory tracks the happens-before frontier implied by
@@ -27,13 +28,12 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
+#include "core/observer.hpp"
 #include "mesh/message.hpp"
 #include "proto/directory.hpp"
 #include "sim/types.hpp"
@@ -88,39 +88,32 @@ class ViolationError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-class Checker {
+class Checker final : public core::Observer {
  public:
   explicit Checker(core::Machine& m, bool strict);
-  ~Checker();  // flushes the transition log, when enabled
 
-  // ---- Hooks (fired via LRCSIM_HOOK; host execution order) ---------------
+  // ---- Observer events (host execution order) ----------------------------
 
-  void on_read(NodeId p, Addr a, std::uint32_t bytes);
-  void on_write(NodeId p, Addr a, std::uint32_t bytes);
+  /// Reads are checked against the legal-value rule; writes advance the
+  /// word's shadow version.
+  void on_access(NodeId p, bool write, Addr a, std::uint32_t bytes) override;
+
+  /// Release side (unlock, barrier arrival) before the protocol call.
+  void on_sync_begin(NodeId p, core::SyncOp op, SyncId s) override;
+  /// Acquire side (lock grant, barrier departure) and the drain check
+  /// after the protocol call returned.
+  void on_sync_end(NodeId p, core::SyncOp op, SyncId s) override;
+
+  /// Directory invariants for msg.line after Protocol::handle(msg).
+  void on_handled(const mesh::Message& msg) override;
 
   /// A line filled into p's cache: p's copy now reflects memory, which is
   /// current w.r.t. every write that happens-before any synchronized read
   /// p can perform on it (release drains guarantee this for DRF traces).
-  void on_fill(NodeId p, LineId line);
+  void on_fill(NodeId p, LineId line) override;
 
   /// p's cached copy died (eviction, invalidation, or applied write notice).
-  void on_copy_dropped(NodeId p, LineId line);
-
-  void on_acquire(NodeId p, SyncId s);   // after the grant returned
-  void on_release(NodeId p, SyncId s);   // before the protocol releases
-  void on_barrier_arrive(NodeId p, SyncId s);
-  void on_barrier_done(NodeId p, SyncId s);
-
-  /// After release/barrier/finalize returned: all store buffering drained.
-  void on_release_drained(core::Cpu& cpu, const char* where);
-
-  /// Before Protocol::handle(msg): records the observed (family,
-  /// state-before, kind) transition when LRCSIM_TRANSITION_LOG names a
-  /// file, feeding the static analyzer's coverage report (docs/STATIC.md).
-  void before_handle(const mesh::Message& msg);
-
-  /// Directory invariants for msg.line after Protocol::handle(msg).
-  void after_handle(const mesh::Message& msg);
+  void on_copy_dropped(NodeId p, LineId line) override;
 
   /// Quiescent end-of-run checks (normal context; safe to throw later).
   void final_check();
@@ -160,6 +153,11 @@ class Checker {
     ProcMask notified = 0;
   };
 
+  void on_read(NodeId p, Addr a, std::uint32_t bytes);
+  void on_write(NodeId p, Addr a, std::uint32_t bytes);
+  /// After release/barrier/finalize returned: all store buffering drained.
+  void check_drained(core::Cpu& cpu, const char* where);
+
   LineShadow& shadow(LineId line);
   void join(std::vector<std::uint64_t>& into,
             const std::vector<std::uint64_t>& from);
@@ -193,13 +191,6 @@ class Checker {
       observed_;
 
   util::FlatMap<DirSnap> dir_snap_;
-
-  // Static-vs-dynamic transition coverage (LRCSIM_TRANSITION_LOG): triples
-  // are accumulated ordered so the dump is deterministic, then appended to
-  // the log file on destruction.
-  bool transition_log_enabled_ = false;
-  std::string transition_log_path_;
-  std::set<std::tuple<std::string, std::string, std::string>> transitions_;
 
   std::vector<std::string> violations_;
   std::uint64_t racy_reads_ = 0;

@@ -357,7 +357,7 @@ LitmusResult run_litmus(const LitmusProgram& prog, core::ProtocolKind kind,
                                                   prog.nprocs);
     capture->set_meta(prog.name, std::string(core::to_string(kind)),
                       opts.seed);
-    m.set_access_log(capture.get());
+    m.add_observer(*capture);
   }
 
   if (opts.pre_run) opts.pre_run(m);

@@ -113,7 +113,7 @@ struct LitmusRunOptions {
   std::optional<cache::CacheConfig> cache;
   /// Model-checker hook (src/mc/): invoked on the freshly built Machine
   /// before any fiber starts — install a sim::ScheduleArbiter, disable NIC
-  /// arrival batching, etc.
+  /// arrival batching, attach a core::Observer, etc.
   std::function<void(core::Machine&)> pre_run;
   /// Sync-arrival perturbation (src/mc/): when set, called immediately
   /// before each synchronization op (lock/unlock/barrier/fence); the
@@ -121,8 +121,8 @@ struct LitmusRunOptions {
   /// explorer reorder sync arrivals. `nth` counts sync ops per processor.
   std::function<Cycle(NodeId p, unsigned nth)> sync_delay;
   /// Called after the run (and checker finalization) completes, before the
-  /// Machine is destroyed — e.g. to dump a message trace enabled in
-  /// pre_run. Not called when the run throws.
+  /// Machine is destroyed — e.g. to print what an observer attached in
+  /// pre_run collected. Not called when the run throws.
   std::function<void(core::Machine&)> post_run;
   /// When set, records the per-processor workload stream under this
   /// directory (trace/writer.hpp; DESIGN.md §11). Mutually exclusive with

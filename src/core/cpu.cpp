@@ -4,8 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "check/hooks.hpp"
-#include "core/access_log.hpp"
 #include "core/machine.hpp"
 #include "proto/protocol.hpp"
 #include "proto/sync_manager.hpp"
@@ -25,44 +23,41 @@ Cpu::Cpu(Machine& m, NodeId id)
 unsigned Cpu::nprocs() const { return m_.nprocs(); }
 
 void Cpu::compute(Cycle n) {
-  if (AccessLog* log = m_.access_log()) log->on_compute(id_, n);
+  for (Observer* o : m_.observers()) o->on_compute(id_, n);
   tick(n);
 }
 
-void Cpu::fence() {
-  if (AccessLog* log = m_.access_log()) {
-    log->on_sync(id_, AccessLog::SyncOp::kFence, 0);
-  }
-  drive(m_.protocol().fence(*this));
+namespace {
+
+// Sync events bracket the protocol call so the host-order sequence of
+// observer events matches the simulated happens-before order: a release
+// (begin) event runs before the lock can be granted elsewhere, and an
+// acquire (end) event runs only after the grant came back to this fiber.
+template <typename Call>
+void synchronize(Cpu& cpu, SyncOp op, SyncId s, Call call) {
+  const auto& observers = cpu.machine().observers();
+  for (Observer* o : observers) o->on_sync_begin(cpu.id(), op, s);
+  cpu.drive(call(cpu.machine().protocol()));
+  for (Observer* o : observers) o->on_sync_end(cpu.id(), op, s);
 }
 
-// Checker hooks bracket the protocol calls so the host-order sequence of
-// hook firings matches the simulated happens-before order: a release hook
-// runs before the lock can be granted elsewhere, and an acquire hook runs
-// only after the grant came back to this fiber.
+}  // namespace
+
+void Cpu::fence() {
+  synchronize(*this, SyncOp::kFence, 0,
+              [&](proto::Protocol& pr) { return pr.fence(*this); });
+}
 void Cpu::lock(SyncId s) {
-  if (AccessLog* log = m_.access_log()) {
-    log->on_sync(id_, AccessLog::SyncOp::kLock, s);
-  }
-  drive(m_.protocol().acquire(*this, s));
-  LRCSIM_HOOK(m_, on_acquire(id_, s));
+  synchronize(*this, SyncOp::kLock, s,
+              [&](proto::Protocol& pr) { return pr.acquire(*this, s); });
 }
 void Cpu::unlock(SyncId s) {
-  if (AccessLog* log = m_.access_log()) {
-    log->on_sync(id_, AccessLog::SyncOp::kUnlock, s);
-  }
-  LRCSIM_HOOK(m_, on_release(id_, s));
-  drive(m_.protocol().release(*this, s));
-  LRCSIM_HOOK(m_, on_release_drained(*this, "unlock"));
+  synchronize(*this, SyncOp::kUnlock, s,
+              [&](proto::Protocol& pr) { return pr.release(*this, s); });
 }
 void Cpu::barrier(SyncId s) {
-  if (AccessLog* log = m_.access_log()) {
-    log->on_sync(id_, AccessLog::SyncOp::kBarrier, s);
-  }
-  LRCSIM_HOOK(m_, on_barrier_arrive(id_, s));
-  drive(m_.protocol().barrier(*this, s));
-  LRCSIM_HOOK(m_, on_release_drained(*this, "barrier"));
-  LRCSIM_HOOK(m_, on_barrier_done(id_, s));
+  synchronize(*this, SyncOp::kBarrier, s,
+              [&](proto::Protocol& pr) { return pr.barrier(*this, s); });
 }
 
 void Cpu::tick(Cycle n) {

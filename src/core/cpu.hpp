@@ -116,7 +116,7 @@ class Cpu {
   virtual void start(std::function<void(Cpu&)> body);
   virtual bool finished() const { return fiber_ && fiber_->finished(); }
   /// True for front ends that re-issue a recorded stream (no workload body,
-  /// no checker, no capture).
+  /// no processor events, so no observers).
   virtual bool is_replay() const { return false; }
   Machine& machine() { return m_; }
 

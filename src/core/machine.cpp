@@ -70,6 +70,7 @@ Machine::~Machine() {
 check::Checker& Machine::enable_checker(bool strict) {
   if (!checker_) {
     checker_ = std::make_unique<check::Checker>(*this, strict);
+    add_observer(*checker_);
   }
   return *checker_;
 }
@@ -130,32 +131,24 @@ Cycle Machine::pp_claim(NodeId n, Cycle at, Cycle cost) {
 }
 
 void Machine::dispatch(const mesh::Message& msg, Cycle t) {
-  trace_.record(msg, t);
+  for (Observer* o : observers_) o->on_message(msg, t);
   const Cycle start = std::max(t, pp_free_[msg.dst]);
-  if (!proto::SyncManager::owns(msg.kind)) {
-    LRCSIM_HOOK(*this, before_handle(msg));
-  }
   const Cycle cost = proto::SyncManager::owns(msg.kind)
                          ? sync_->handle(msg, start)
                          : protocol_->handle(msg, start);
   pp_free_[msg.dst] = start + cost;
-  LRCSIM_HOOK(*this, after_handle(msg));
+  for (Observer* o : observers_) o->on_handled(msg);
 }
 
 void Machine::run(std::function<void(Cpu&)> body) {
   if (ran_) throw std::logic_error("Machine::run may be called only once");
   ran_ = true;
-  if (!cpus_.empty() && cpus_[0]->is_replay()) {
-    // A replayed stream carries no values and no workload body, so the
-    // value-oracle checker and a second capture have nothing to observe.
-    if (checker_) {
-      throw std::logic_error("trace replay: runtime checker needs the "
-                             "fiber front end");
-    }
-    if (access_log_) {
-      throw std::logic_error("trace replay: capturing a replayed run is "
-                             "unsupported");
-    }
+  if (!cpus_.empty() && cpus_[0]->is_replay() && !observers_.empty()) {
+    // A replayed stream fires no processor events and carries no values,
+    // so the checker, a second capture or any other observer would see
+    // only half a run.
+    throw std::logic_error("trace replay: observers (runtime checker, "
+                           "capture) need the fiber front end");
   }
   for (auto& c : cpus_) c->start(body);
   engine_.run();

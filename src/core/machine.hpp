@@ -17,9 +17,8 @@
 #include <type_traits>
 #include <vector>
 
-#include "check/hooks.hpp"
-#include "core/access_log.hpp"
 #include "core/cpu.hpp"
+#include "core/observer.hpp"
 #include "core/params.hpp"
 #include "core/report.hpp"
 #include "mem/address_map.hpp"
@@ -30,7 +29,6 @@
 #include "mesh/topology.hpp"
 #include "proto/protocol.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "stats/miss_classifier.hpp"
 
 namespace lrc::proto {
@@ -127,21 +125,19 @@ class Machine {
 
   Cpu& cpu(NodeId p) { return *cpus_[p]; }
 
-  /// Optional message trace (disabled by default): `trace().enable()`
-  /// before run() records every delivery for debugging/tests.
-  sim::Trace& trace() { return trace_; }
+  /// Attaches an observer (core/observer.hpp). Call before run() with an
+  /// observer that outlives it. Replay runs reject observers: a replayed
+  /// stream fires no processor events.
+  void add_observer(Observer& o) { observers_.push_back(&o); }
+  /// The attached observers in attach order; event sites loop over them.
+  const std::vector<Observer*>& observers() const { return observers_; }
 
-  /// Installs a workload-stream capture hook (trace front end). Call before
-  /// run() with a log that outlives it; nullptr detaches.
-  void set_access_log(AccessLog* log) { access_log_ = log; }
-  AccessLog* access_log() const { return access_log_; }
-
-  /// Enables the runtime consistency checker (docs/CHECKER.md) and returns
-  /// it; a second call returns the same checker. Call before run(). In
-  /// strict mode run() throws check::ViolationError after the engine stops
-  /// if any violation was recorded.
+  /// Enables the runtime consistency checker (docs/CHECKER.md), attached
+  /// as an observer, and returns it; a second call returns the same
+  /// checker. Call before run(). In strict mode run() throws
+  /// check::ViolationError after the engine stops if any violation was
+  /// recorded.
   check::Checker& enable_checker(bool strict = true);
-  check::Checker* checker() { return checker_.get(); }
 
   NodeId home_of_line(LineId l) { return amap_.home_of_line(l); }
 
@@ -197,12 +193,11 @@ class Machine {
   std::unique_ptr<mem::SharedLlc> llc_;
   stats::MissClassifier classifier_;
   std::vector<Cycle> pp_free_;
-  sim::Trace trace_;
   std::unique_ptr<proto::SyncManager> sync_;
   std::unique_ptr<proto::Protocol> protocol_;
   std::vector<std::unique_ptr<Cpu>> cpus_;
   std::unique_ptr<check::Checker> checker_;
-  AccessLog* access_log_ = nullptr;
+  std::vector<Observer*> observers_;
   std::uint64_t lock_acquires_ = 0;
   std::uint64_t barrier_episodes_ = 0;
   bool ran_ = false;
@@ -213,26 +208,24 @@ class Machine {
 template <typename T>
 T Cpu::read(Addr a) {
   static_assert(std::is_trivially_copyable_v<T>);
-  if (AccessLog* log = m_.access_log()) {
-    log->on_access(id_, /*write=*/false, a, sizeof(T));
-  }
   proto::Protocol& proto = m_.protocol();
   if (!proto.read_hit(*this, a)) drive(proto.cpu_read(*this, a, sizeof(T)));
-  LRCSIM_HOOK(m_, on_read(id_, a, sizeof(T)));
+  for (Observer* o : m_.observers()) {
+    o->on_access(id_, /*write=*/false, a, sizeof(T));
+  }
   return m_.store().load<T>(a);
 }
 
 template <typename T>
 void Cpu::write(Addr a, const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
-  if (AccessLog* log = m_.access_log()) {
-    log->on_access(id_, /*write=*/true, a, sizeof(T));
-  }
   proto::Protocol& proto = m_.protocol();
   if (!proto.write_hit(*this, a, sizeof(T))) {
     drive(proto.cpu_write(*this, a, sizeof(T)));
   }
-  LRCSIM_HOOK(m_, on_write(id_, a, sizeof(T)));
+  for (Observer* o : m_.observers()) {
+    o->on_access(id_, /*write=*/true, a, sizeof(T));
+  }
   m_.store().store(a, v);
 }
 

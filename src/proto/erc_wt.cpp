@@ -2,7 +2,7 @@
 #include <bit>
 #include <cassert>
 
-#include "check/hooks.hpp"
+#include "core/observer.hpp"
 #include "proto/msi.hpp"
 
 namespace lrc::proto {
@@ -42,7 +42,7 @@ void ErcWt::commit_write(NodeId p, LineId line, WordMask words) {
 }
 
 void ErcWt::evict_victim(NodeId p, const cache::CacheLine& victim, Cycle at) {
-  LRCSIM_HOOK(m_, on_copy_dropped(p, victim.line));
+  for (core::Observer* o : m_.observers()) o->on_copy_dropped(p, victim.line);
   m_.classifier().on_copy_lost(p, victim.line, /*coherence=*/false);
   // Lines are never dirty; pending words leave through the coalescing
   // buffer instead of a writeback.

@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "check/hooks.hpp"
+#include "check/checker.hpp"
 
 namespace lrc::proto {
 
@@ -170,7 +170,7 @@ Cycle Lrc::apply_invals(NodeId p, Cycle at) {
     if (m_.cpu(p).dcache().invalidate(line)) {
       m_.classifier().on_copy_lost(p, line, /*coherence=*/true);
     }
-    LRCSIM_HOOK(m_, on_copy_dropped(p, line));
+    for (core::Observer* o : m_.observers()) o->on_copy_dropped(p, line);
     send(done, MsgKind::kInvalNotify, p, home_of(line), line);
   }
   set.clear();
@@ -192,12 +192,12 @@ void Lrc::send_write_through(NodeId p, LineId line, WordMask words, Cycle at) {
 
 void Lrc::do_fill(NodeId p, LineId line, LineState st, Cycle at) {
   m_.cpu(p).dcache().fill(line, st, at);
-  LRCSIM_HOOK(m_, on_fill(p, line));
+  for (core::Observer* o : m_.observers()) o->on_fill(p, line);
   m_.classifier().on_fill(p, line);
 }
 
 void Lrc::evict_victim(NodeId p, const cache::CacheLine& victim, Cycle at) {
-  LRCSIM_HOOK(m_, on_copy_dropped(p, victim.line));
+  for (core::Observer* o : m_.observers()) o->on_copy_dropped(p, victim.line);
   before_line_death(p, victim.line, at);
   if (auto entry = m_.cpu(p).cb().pop_line(victim.line)) {
     send_write_through(p, victim.line, entry->words, at);

@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "check/hooks.hpp"
+#include "core/observer.hpp"
 
 namespace lrc::proto {
 
@@ -222,13 +222,13 @@ void MsiBase::do_fill(NodeId p, LineId line, LineState st, Cycle at) {
   // Any line the hierarchy displaces out of the node comes back through
   // evict_victim() below (the machine wires the victim sink there).
   m_.cpu(p).dcache().fill(line, st, at);
-  LRCSIM_HOOK(m_, on_fill(p, line));
+  for (core::Observer* o : m_.observers()) o->on_fill(p, line);
   m_.classifier().on_fill(p, line);
 }
 
 void MsiBase::evict_victim(NodeId p, const cache::CacheLine& victim,
                            Cycle at) {
-  LRCSIM_HOOK(m_, on_copy_dropped(p, victim.line));
+  for (core::Observer* o : m_.observers()) o->on_copy_dropped(p, victim.line);
   m_.classifier().on_copy_lost(p, victim.line, /*coherence=*/false);
   if (victim.dirty != 0) {
     send(at, MsgKind::kWritebackData, p, home_of(victim.line), victim.line,
@@ -537,7 +537,7 @@ Cycle MsiBase::node_inval(const Message& msg, Cycle start) {
   if (m_.cpu(p).dcache().invalidate(msg.line)) {
     m_.classifier().on_copy_lost(p, msg.line, /*coherence=*/true);
   }
-  LRCSIM_HOOK(m_, on_copy_dropped(p, msg.line));
+  for (core::Observer* o : m_.observers()) o->on_copy_dropped(p, msg.line);
   send(start + cost, MsgKind::kInvalAck, p, msg.src, msg.line);
   return cost;
 }
@@ -564,7 +564,7 @@ Cycle MsiBase::node_forward(const Message& msg, Cycle start) {
          line_bytes());
   } else {
     cache.invalidate(msg.line);
-    LRCSIM_HOOK(m_, on_copy_dropped(p, msg.line));
+    for (core::Observer* o : m_.observers()) o->on_copy_dropped(p, msg.line);
     m_.classifier().on_copy_lost(p, msg.line, /*coherence=*/true);
     send(start + cost, MsgKind::kFwdDataReply, p, msg.requester, msg.line,
          line_bytes());

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#ifdef LRCSIM_HAVE_ZSTD
-#include <zstd.h>
-#endif
-
 namespace lrc::trace {
 
 std::uint32_t fnv1a32(const std::uint8_t* p, std::size_t n) {
@@ -132,39 +128,5 @@ bool lrz_decompress(const std::uint8_t* src, std::size_t n, std::uint8_t* dst,
   }
   return op == raw_len;
 }
-
-// ---- zstd (optional) ------------------------------------------------------
-
-#ifdef LRCSIM_HAVE_ZSTD
-
-bool zstd_available() { return true; }
-
-std::size_t zstd_compress(const std::uint8_t* src, std::size_t n,
-                          std::uint8_t* dst, std::size_t cap) {
-  const std::size_t r = ZSTD_compress(dst, cap, src, n, /*level=*/3);
-  return ZSTD_isError(r) ? 0 : r;
-}
-
-bool zstd_decompress(const std::uint8_t* src, std::size_t n, std::uint8_t* dst,
-                     std::size_t raw_len) {
-  const std::size_t r = ZSTD_decompress(dst, raw_len, src, n);
-  return !ZSTD_isError(r) && r == raw_len;
-}
-
-#else
-
-bool zstd_available() { return false; }
-
-std::size_t zstd_compress(const std::uint8_t*, std::size_t, std::uint8_t*,
-                          std::size_t) {
-  return 0;
-}
-
-bool zstd_decompress(const std::uint8_t*, std::size_t, std::uint8_t*,
-                     std::size_t) {
-  return false;
-}
-
-#endif
 
 }  // namespace lrc::trace

@@ -1,9 +1,7 @@
-// Block codecs for the trace format. The built-in `lrz` codec is a small
-// byte-oriented LZ77 with no dependencies — hash-4 greedy matching, two-byte
-// offsets (the 64 KiB block bound makes longer ones useless). When the build
-// found libzstd (LRCSIM_HAVE_ZSTD), writers prefer it; readers accept
-// whichever codec each block names, so traces move between builds as long
-// as the codec used is available.
+// Block codec for the trace format: `lrz`, a small byte-oriented LZ77 with
+// no dependencies — hash-4 greedy matching, two-byte offsets (the 64 KiB
+// block bound makes longer ones useless). It is the only codec, so every
+// build reads every trace.
 #pragma once
 
 #include <cstddef>
@@ -25,12 +23,5 @@ std::size_t lrz_compress(const std::uint8_t* src, std::size_t n,
 /// never reads or writes out of bounds.
 bool lrz_decompress(const std::uint8_t* src, std::size_t n, std::uint8_t* dst,
                     std::size_t raw_len);
-
-/// True when this build can emit/decode Codec::kZstd blocks.
-bool zstd_available();
-std::size_t zstd_compress(const std::uint8_t* src, std::size_t n,
-                          std::uint8_t* dst, std::size_t cap);
-bool zstd_decompress(const std::uint8_t* src, std::size_t n, std::uint8_t* dst,
-                     std::size_t raw_len);
 
 }  // namespace lrc::trace

@@ -71,17 +71,8 @@ bool Reader::load_block() {
       }
       break;
     case Codec::kZstd:
-      if (!zstd_available()) {
-        throw TraceError(path_, block_idx_,
-                         "zstd codec unavailable in this build");
-      }
-      if (std::fread(comp_.data(), 1, comp_len, f_) != comp_len) {
-        throw TraceError(path_, block_idx_, "truncated block payload");
-      }
-      if (!zstd_decompress(comp_.data(), comp_len, raw_.data(), raw_len)) {
-        throw TraceError(path_, block_idx_, "corrupt zstd payload");
-      }
-      break;
+      throw TraceError(path_, block_idx_,
+                       "zstd codec unsupported (raw and lrz only)");
     default:
       throw TraceError(path_, block_idx_,
                        "unknown codec " + std::to_string(codec));

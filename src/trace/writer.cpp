@@ -74,17 +74,9 @@ void CaptureLog::flush_block(Stream& s) {
   const std::uint8_t* payload = raw;
   std::size_t payload_len = raw_len;
 
-  std::size_t c = zstd_available()
-                      ? zstd_compress(raw, raw_len, comp_.data(),
-                                      comp_.size())
-                      : 0;
+  const std::size_t c = lrz_compress(raw, raw_len, comp_.data(), comp_.size());
   if (c != 0 && c < raw_len) {
-    codec = Codec::kZstd;
-  } else {
-    c = lrz_compress(raw, raw_len, comp_.data(), comp_.size());
-    if (c != 0 && c < raw_len) codec = Codec::kLrz;
-  }
-  if (codec != Codec::kRaw) {
+    codec = Codec::kLrz;
     payload = comp_.data();
     payload_len = c;
   }
@@ -136,18 +128,18 @@ void CaptureLog::on_compute(NodeId p, Cycle n) {
   encode_arg(p, Op::kCompute, n);
 }
 
-void CaptureLog::on_sync(NodeId p, SyncOp op, SyncId s) {
+void CaptureLog::on_sync_begin(NodeId p, core::SyncOp op, SyncId s) {
   switch (op) {
-    case SyncOp::kLock:
+    case core::SyncOp::kLock:
       encode_arg(p, Op::kLock, s);
       return;
-    case SyncOp::kUnlock:
+    case core::SyncOp::kUnlock:
       encode_arg(p, Op::kUnlock, s);
       return;
-    case SyncOp::kBarrier:
+    case core::SyncOp::kBarrier:
       encode_arg(p, Op::kBarrier, s);
       return;
-    case SyncOp::kFence: {
+    case core::SyncOp::kFence: {
       Stream& st = streams_[p];
       const std::uint8_t rec = static_cast<std::uint8_t>(Op::kFence);
       append(st, &rec, 1);

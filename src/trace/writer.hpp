@@ -1,7 +1,9 @@
-// Trace capture: a core::AccessLog that encodes each processor's workload
-// stream into the block-framed format of trace/format.hpp, one file per
-// simulated CPU plus a meta.txt. Install on the Machine before run();
-// call finish() after (writes end-of-stream records and the metadata).
+// Trace capture: an observer (core/observer.hpp) that encodes each
+// processor's workload stream — accesses, computation, synchronization —
+// into the block-framed format of trace/format.hpp, one file per simulated
+// CPU plus a meta.txt. The stream is exactly what trace::ReplayCpu
+// re-issues. Attach with Machine::add_observer() before run(); call
+// finish() after (writes end-of-stream records and the metadata).
 #pragma once
 
 #include <cstdint>
@@ -9,12 +11,12 @@
 #include <string>
 #include <vector>
 
-#include "core/access_log.hpp"
+#include "core/observer.hpp"
 #include "trace/format.hpp"
 
 namespace lrc::trace {
 
-class CaptureLog final : public core::AccessLog {
+class CaptureLog final : public core::Observer {
  public:
   /// Creates `dir` (and parents) and opens one stream per processor.
   CaptureLog(std::string dir, unsigned nprocs);
@@ -32,10 +34,11 @@ class CaptureLog final : public core::AccessLog {
 
   std::uint64_t records() const { return records_; }
 
-  // core::AccessLog
+  // core::Observer: each processor's events arrive in its program order,
+  // which is all a per-processor stream records.
   void on_access(NodeId p, bool write, Addr a, std::uint32_t bytes) override;
   void on_compute(NodeId p, Cycle n) override;
-  void on_sync(NodeId p, SyncOp op, SyncId s) override;
+  void on_sync_begin(NodeId p, core::SyncOp op, SyncId s) override;
 
  private:
   struct Stream {

@@ -5,33 +5,23 @@
 // show zero detected races.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "cache/config.hpp"
 #include "check/litmus.hpp"
+#include "litmus_corpus.hpp"
 
 namespace {
 
 using lrc::check::LitmusProgram;
 using lrc::check::LitmusResult;
 using lrc::core::ProtocolKind;
+using lrc::testutil::litmus_files;
 
 constexpr ProtocolKind kAllKinds[] = {ProtocolKind::kSC, ProtocolKind::kERC,
                                       ProtocolKind::kERCWT, ProtocolKind::kLRC,
                                       ProtocolKind::kLRCExt};
-
-std::vector<std::string> litmus_files() {
-  std::vector<std::string> files;
-  for (const auto& ent :
-       std::filesystem::directory_iterator(LRCSIM_LITMUS_DIR)) {
-    if (ent.path().extension() == ".litmus") files.push_back(ent.path());
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
 
 void run_all_under(ProtocolKind kind) {
   const auto files = litmus_files();

@@ -14,7 +14,6 @@
 //    TraceError naming the file and block — never UB.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -23,13 +22,17 @@
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "check/checker.hpp"
 #include "check/litmus.hpp"
 #include "core/machine.hpp"
 #include "core/report.hpp"
+#include "litmus_corpus.hpp"
 #include "report_digest.hpp"
 #include "trace/codec.hpp"
 #include "trace/format.hpp"
 #include "trace/reader.hpp"
+#include "trace/replay_cpu.hpp"
+#include "trace/writer.hpp"
 
 namespace lrc {
 namespace {
@@ -41,16 +44,6 @@ using core::ProtocolKind;
 constexpr ProtocolKind kAllFive[] = {ProtocolKind::kSC, ProtocolKind::kERC,
                                      ProtocolKind::kERCWT, ProtocolKind::kLRC,
                                      ProtocolKind::kLRCExt};
-
-std::vector<std::string> corpus_files() {
-  std::vector<std::string> files;
-  for (const auto& ent :
-       std::filesystem::directory_iterator(LRCSIM_LITMUS_DIR)) {
-    if (ent.path().extension() == ".litmus") files.push_back(ent.path());
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
 
 // Fresh per-test scratch directory under the gtest temp root.
 std::string scratch_dir(const std::string& leaf) {
@@ -75,7 +68,7 @@ std::uint64_t litmus_digest(const LitmusProgram& prog, ProtocolKind kind,
 // Serial capture -> serial replay: full digest equality for every program,
 // protocol, and seed.
 TEST(TraceReplay, LitmusCorpusBitIdentical) {
-  const auto files = corpus_files();
+  const auto files = testutil::litmus_files();
   ASSERT_GE(files.size(), 12u) << "litmus corpus went missing";
   const std::string dir = scratch_dir("corpus");
   for (const auto& f : files) {
@@ -145,6 +138,39 @@ TEST(TraceReplay, Fft64RoundTrip) {
         << "fft / " << core::to_string(cells[i].kind) << " under --jobs 4";
   }
   std::filesystem::remove_all(dir);
+}
+
+// A replayed stream fires no processor events, so Machine::run rejects any
+// attached observer instead of letting it watch half a run.
+void expect_replay_rejects(const std::string& leaf,
+                           const std::function<void(core::Machine&)>& attach) {
+  const std::string dir = scratch_dir(leaf);
+  const LitmusProgram prog = LitmusProgram::parse_file(
+      std::string(LRCSIM_LITMUS_DIR) + "/mp_barrier.litmus");
+  LitmusRunOptions cap;
+  cap.capture_dir = dir;
+  run_litmus(prog, ProtocolKind::kLRC, cap);
+
+  core::Machine m(core::SystemParams::test_scale(prog.nprocs),
+                  ProtocolKind::kLRC, trace::ReplayCpu::factory(dir));
+  attach(m);
+  EXPECT_THROW(m.run(nullptr), std::logic_error);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TraceReplay, RejectsTheChecker) {
+  expect_replay_rejects("reject_checker", [](core::Machine& m) {
+    m.enable_checker(/*strict=*/false);
+  });
+}
+
+TEST(TraceReplay, RejectsCapturingAReplay) {
+  const std::string out = scratch_dir("reject_capture_out");
+  trace::CaptureLog capture(out, 2);
+  expect_replay_rejects("reject_capture", [&](core::Machine& m) {
+    m.add_observer(capture);
+  });
+  std::filesystem::remove_all(out);
 }
 
 // ---- Malformed input --------------------------------------------------------
@@ -241,6 +267,21 @@ TEST(TraceCorrupt, UnknownCodec) {
       make_stream("codec", trace::kMagic, raw,
                   trace::fnv1a32(raw.data(), raw.size()), 0x7F);
   expect_trace_error(path, "unknown codec", [&] {
+    trace::Reader r(path);
+    trace::Record rec;
+    while (r.next(rec)) {
+    }
+  });
+}
+
+// Blocks of the retired zstd codec fail by name, not as an unknown codec.
+TEST(TraceCorrupt, ZstdBlockRejected) {
+  const auto raw = raw_block(3, true);
+  const std::string path =
+      make_stream("zstd", trace::kMagic, raw,
+                  trace::fnv1a32(raw.data(), raw.size()),
+                  static_cast<std::uint8_t>(trace::Codec::kZstd));
+  expect_trace_error(path, "zstd codec unsupported", [&] {
     trace::Reader r(path);
     trace::Record rec;
     while (r.next(rec)) {

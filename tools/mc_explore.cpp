@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <iostream>
 #include <optional>
@@ -26,6 +27,7 @@
 #include "check/checker.hpp"
 #include "check/litmus.hpp"
 #include "core/machine.hpp"
+#include "core/observer.hpp"
 #include "core/params.hpp"
 #include "mc/explorer.hpp"
 
@@ -51,6 +53,32 @@ struct Args {
 constexpr ProtocolKind kAllKinds[] = {ProtocolKind::kSC, ProtocolKind::kERC,
                                       ProtocolKind::kERCWT, ProtocolKind::kLRC,
                                       ProtocolKind::kLRCExt};
+
+// --trace: keeps the last kKeep message deliveries of a --replay run and
+// prints them as `[t] Kind src->dst line=L tag=T payload=B` lines (tag and
+// payload only when nonzero).
+class DeliveryLog final : public lrc::core::Observer {
+ public:
+  static constexpr std::size_t kKeep = 256;
+
+  void on_message(const lrc::mesh::Message& msg, lrc::Cycle t) override {
+    if (last_.size() == kKeep) last_.pop_front();
+    last_.push_back({t, msg});
+  }
+
+  void print(std::ostream& os) const {
+    for (const auto& [t, msg] : last_) {
+      os << '[' << t << "] " << lrc::mesh::to_string(msg.kind) << ' '
+         << msg.src << "->" << msg.dst << " line=" << msg.line;
+      if (msg.tag != 0) os << " tag=" << msg.tag;
+      if (msg.payload_bytes != 0) os << " payload=" << msg.payload_bytes;
+      os << '\n';
+    }
+  }
+
+ private:
+  std::deque<std::pair<lrc::Cycle, lrc::mesh::Message>> last_;
+};
 
 [[noreturn]] void usage(const std::string& err = {}) {
   if (!err.empty()) std::cerr << "mc_explore: " << err << "\n";
@@ -245,11 +273,10 @@ int main(int argc, char** argv) {
       if (args.replay) {
         std::vector<lrc::mc::Decision> trace;
         std::function<void(lrc::core::Machine&)> pre, post;
+        DeliveryLog deliveries;
         if (args.trace_msgs) {
-          pre = [](lrc::core::Machine& m) { m.trace().enable(); };
-          post = [](lrc::core::Machine& m) {
-            std::cout << m.trace().dump(256);
-          };
+          pre = [&](lrc::core::Machine& m) { m.add_observer(deliveries); };
+          post = [&](lrc::core::Machine&) { deliveries.print(std::cout); };
         }
         const auto res = lrc::mc::replay(prog, args.kinds[0],
                                          args.opts.sync_window, *args.replay,

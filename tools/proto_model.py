@@ -1344,8 +1344,8 @@ def audit_fixture(path: Path) -> list[dict]:
 
 def coverage_report(model_json: dict, observed_path: Path) -> list[str]:
     """Informational: declared transitions never exercised by the observed
-    (family, state-before, kind) triples (see docs/STATIC.md for how the
-    LRCSIM_TRANSITION_LOG recorder produces them)."""
+    (family, state-before, kind) triples (see docs/STATIC.md for how
+    check::TransitionRecorder produces them)."""
     # The recorder logs the to_string() names ("Dirty", "ReadReq"); the
     # model carries the enumerator names ("kDirty", "kReadReq"). Map the
     # stripped spellings back through the model's own enum inventory.
